@@ -135,15 +135,14 @@ let defaults () = {
   fault_horizon = 0.;
   (* Fabric fault domain: link down/up windows, bandwidth-derate windows
      and per-link corrupt-and-replay, all drawn from the experiment seed
-     up to fault_horizon (DESIGN.md section 15).  Rates off by default —
+     up to fault_horizon (DESIGN.md section 14).  Rates off by default —
      the immortal fabric is byte-identical to the pre-fault tree. *)
   fault_link_down_interval = 0.;
   fault_link_down_duration = 1.0e6;
   fault_link_derate_interval = 0.;
   fault_link_derate_duration = 4.0e6;
   (* Remaining bandwidth fraction inside a derate window; must stay in
-     (0, 1] so a derate only ever slows a link (sharding pair bounds are
-     derived from the undegraded wire time and must never be tightened). *)
+     (0, 1] so a derate only ever slows a link. *)
   fault_link_derate_factor = 0.5;
   fault_link_corrupt = 0.;
   (* IKC robustness: requester-side timeout on the offload round trip,
@@ -157,7 +156,7 @@ let defaults () = {
      packet parks at egress until a link returns) rather than hang. *)
   fabric_retry_backoff = 5.0e4;
   fabric_max_retries = 5;
-  (* Service workload (picobench serve, DESIGN.md section 16): an
+  (* Service workload (picobench serve, DESIGN.md section 15): an
      open-loop sharded RPC scenario.  Off by default — with horizon or
      interval at 0 the arrival plan is empty, no serve RNG split is
      taken, and no serve process ever spawns, so every legacy figure is

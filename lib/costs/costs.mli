@@ -78,7 +78,7 @@ type t = {
   (** length of one derate window, ns *)
   mutable fault_link_derate_factor : float;
   (** remaining bandwidth fraction inside a derate window, in (0, 1] —
-      a derate may only slow a link, never tighten a sharding bound *)
+      a derate may only slow a link *)
   mutable fault_link_corrupt : float;
   (** P(one link transit is corrupted and replayed) *)
   (* --- IKC robustness (armed only when a drop fault is installed) --- *)

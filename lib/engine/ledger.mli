@@ -42,7 +42,7 @@ val null : h
 (** [begin_ sim ~op] opens a ledger for one [op] instance (op naming
     convention: ["offload/writev"], ["syscall/ioctl"], ["sdma/tx"],
     ["pio/send"], ["psm/send"], ["mpi/MPI_Allreduce"] — see DESIGN.md
-    section 14). *)
+    section 13). *)
 val begin_ : Sim.t -> op:string -> h
 
 (** [mark sim h ~phase] attributes the time since the previous

@@ -39,9 +39,8 @@ let release r =
     resume ()
   | None -> r.in_use <- r.in_use - 1
 
-let use ?on_grant r ~work f =
+let use r ~work f =
   let _waited = acquire r in
-  (match on_grant with None -> () | Some g -> g ());
   let started = Sim.now r.sim in
   Sim.delay r.sim work;
   let finish () =

@@ -27,11 +27,8 @@ val release : t -> unit
 
 (** [use r ~work f] = acquire a server, [Sim.delay] for [work] ns, run [f]
     (non-blocking), release.  Returns [f ()]'s result and records the
-    service time.  [?on_grant] runs (non-blocking) at the instant the
-    server is granted, before the service delay — the sharded fabric
-    uses it to launch the next hop of a packet as soon as its link
-    grant time is known. *)
-val use : ?on_grant:(unit -> unit) -> t -> work:float -> (unit -> 'a) -> 'a
+    service time. *)
+val use : t -> work:float -> (unit -> 'a) -> 'a
 
 (** True when no server is held and nobody is queued. *)
 val idle : t -> bool

@@ -102,9 +102,6 @@ type t = {
   mutable engaged : bool; (* epoch-barrier mode active *)
   mutable engage_req : bool;
   mutable lookahead : float;
-  (* optional per-(src,dst) cross-shard latency floor, tighter than or
-     equal to [lookahead]; [lookahead] still sets the epoch length *)
-  mutable pair_bound : (int -> int -> float) option;
   mutable epoch_end : float;
   mutable barrier_rounds : int;
   mutable epochs_elided : int;
@@ -130,39 +127,21 @@ let create () =
     peak_heap = 0; elided = 0; reused = 0; spans = []; dropped_spans = 0;
     ledgers = []; steps = []; label = "";
     shards = [||]; exec = None; ambient = None; engaged = false;
-    engage_req = false; lookahead = 0.; pair_bound = None; epoch_end = 0.;
+    engage_req = false; lookahead = 0.; epoch_end = 0.;
     barrier_rounds = 0; epochs_elided = 0; xshard = 0 }
 
 let now t = t.now
 
 let sharded t = Array.length t.shards > 0
 
-let shard_init t ~shards ?pair_bound ~lookahead () =
+let shard_init t ~shards ~lookahead =
   if sharded t then invalid_arg "Sim.shard_init: already sharded";
   if t.seq > 0 || not (Heap.is_empty t.queue) then
     invalid_arg "Sim.shard_init: events already scheduled";
   if shards <= 0 then invalid_arg "Sim.shard_init: shards must be > 0";
   if not (Float.is_finite lookahead) || lookahead <= 0. then
     invalid_arg "Sim.shard_init: lookahead must be positive";
-  (match pair_bound with
-   | None -> ()
-   | Some f ->
-     (* The epoch length must be conservative: no pair may promise less
-        latency than one epoch, or a barrier could miss a due event. *)
-     for s = 0 to shards - 1 do
-       for d = 0 to shards - 1 do
-         if s <> d then begin
-           let b = f s d in
-           if not (Float.is_finite b) || b <= 0. then
-             invalid_arg "Sim.shard_init: pair bound must be positive";
-           if b < lookahead then
-             invalid_arg
-               "Sim.shard_init: pair bound below the epoch lookahead"
-         end
-       done
-     done);
   t.lookahead <- lookahead;
-  t.pair_bound <- pair_bound;
   t.shards <-
     Array.init shards (fun sh_id ->
         { sh_id; sh_queue = Heap.create (); sh_seq = 0; sh_now = 0.;
@@ -258,13 +237,6 @@ let schedule_to ?(tail = false) t sh time ev =
         (Printf.sprintf
            "Sim: cross-shard event at %.1f below the lookahead horizon %.1f"
            time t.epoch_end);
-    (match t.pair_bound with
-     | Some f when time < t.now +. f src.sh_id sh.sh_id ->
-       invalid_arg
-         (Printf.sprintf
-            "Sim: cross-shard event at %.1f below the %d->%d pair bound %.1f"
-            time src.sh_id sh.sh_id (f src.sh_id sh.sh_id))
-     | _ -> ());
     src.sh_out <-
       { p_key = time; p_src = src.sh_id; p_ord = src.sh_order;
         p_dst = sh.sh_id; p_ev = ev }
@@ -582,14 +554,6 @@ let cells_reused t =
   Array.fold_left (fun a sh -> a + sh.sh_reused) t.reused t.shards
 
 let shard_count t = Array.length t.shards
-
-(* Shard id an event issued right now would land on by default; 0 when
-   sharding is off.  Lets per-shard caches (e.g. Route.Memo tables) pick
-   their slot without threading ids through every call chain. *)
-let exec_shard t =
-  match t.exec with
-  | Some sh -> sh.sh_id
-  | None -> (match t.ambient with Some sh -> sh.sh_id | None -> 0)
 
 let shard_events t = Array.map (fun sh -> sh.sh_processed) t.shards
 

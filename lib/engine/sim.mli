@@ -117,23 +117,14 @@ val cells_reused : t -> int
     The lookahead contract: in epoch mode, every cross-shard event must
     be scheduled at least one [lookahead] after the sending shard's
     current time (flat fabric hops satisfy this with
-    [lookahead = link_latency]; fat-tree hop chains with the tighter
-    [switch_latency + serialization floor]).  Violations raise
-    [Invalid_argument] rather than silently reordering. *)
+    [lookahead = link_latency]).  Violations raise [Invalid_argument]
+    rather than silently reordering. *)
 
 (** [shard_init t ~shards ~lookahead] must run before any event is
-    scheduled.  [?pair_bound src dst] optionally declares a per-pair
-    cross-shard latency floor (e.g. host-to-host sends keep the full
-    [link_latency] while switch-owner shards promise only the hop
-    floor); every pair bound must be [>= lookahead] — the epoch length
-    stays the scalar [lookahead] — and cross-shard schedules in epoch
-    mode are additionally validated against the sending pair's bound.
+    scheduled.
     @raise Invalid_argument if already sharded, events exist, [shards]
-    is not positive, [lookahead] is not positive and finite, or some
-    pair bound is non-positive or below [lookahead] *)
-val shard_init :
-  t -> shards:int -> ?pair_bound:(int -> int -> float) -> lookahead:float ->
-  unit -> unit
+    is not positive, or [lookahead] is not positive and finite *)
+val shard_init : t -> shards:int -> lookahead:float -> unit
 
 (** Ask the run loop to switch from the merged prologue to
     epoch-barrier rounds at the current instant.  Callable from inside a
@@ -151,12 +142,6 @@ val sharded : t -> bool
 
 (** Number of shards (0 when sharding is off). *)
 val shard_count : t -> int
-
-(** Shard id an event issued right now would land on by default — the
-    executing shard, else the ambient {!with_shard} binding, else 0
-    (also 0 when sharding is off).  Per-shard caches (e.g. route memo
-    tables) use it to pick their slot. *)
-val exec_shard : t -> int
 
 (** Events processed per shard, prologue included ([[||]] unsharded). *)
 val shard_events : t -> int array

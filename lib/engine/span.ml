@@ -1,6 +1,5 @@
 (* Span recording policy over Sim's storage: a single global flag guards
-   every begin, so the disabled hot path pays one ref read (the same
-   discipline as Trace.enabled). *)
+   every begin, so the disabled hot path pays one ref read. *)
 
 let flag = ref false
 

@@ -8,7 +8,7 @@
     Recording is gated by one process-wide flag ({!set_on}), off by
     default: a disabled [begin_] is a single ref read returning {!null},
     and [end_ null] is a no-op, so instrumented hot paths pay only a
-    flag check — the same discipline as {!Trace.enabled}.  [picobench
+    flag check.  [picobench
     --trace PATH] (or [PICO_TRACE_JSON=PATH]) switches it on.
 
     Everything recorded derives from simulated time and deterministic

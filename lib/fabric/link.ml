@@ -24,14 +24,14 @@ let tier l = l.tier
 
 let idle l = Resource.idle l.res
 
-let transit ?on_grant l ~bytes ~work =
+let transit l ~bytes ~work =
   if not (Resource.idle l.res) then begin
     l.contended <- l.contended + 1;
     (* in service + already queued + the arriving packet *)
     let depth = Resource.in_use l.res + Resource.queue_length l.res + 1 in
     if depth > l.peak_queue then l.peak_queue <- depth
   end;
-  Resource.use ?on_grant l.res ~work (fun () -> ());
+  Resource.use l.res ~work (fun () -> ());
   l.packets <- l.packets + 1;
   l.bytes <- l.bytes + bytes
 

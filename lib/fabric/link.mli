@@ -20,10 +20,8 @@ val idle : t -> bool
 
 (** [transit l ~bytes ~work] serialises one packet: blocks (FIFO) for
     the link, holds it [work] ns, and books the counters.  Only
-    callable inside a simulation process.  [?on_grant] fires at the
-    instant the link is granted (see {!Resource.use}) — the sharded
-    hop walk schedules the packet's next hop from it. *)
-val transit : ?on_grant:(unit -> unit) -> t -> bytes:int -> work:float -> unit
+    callable inside a simulation process. *)
+val transit : t -> bytes:int -> work:float -> unit
 
 val packets : t -> int
 

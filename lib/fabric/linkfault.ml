@@ -1,6 +1,6 @@
 (* Fabric fault schedules: per-link down windows, bandwidth-derate
    windows and corrupt-and-replay Bernoulli streams, all drawn up front
-   from one seed-derived RNG (DESIGN.md section 15).
+   from one seed-derived RNG (DESIGN.md section 14).
 
    Everything here is a pure function of (seed stream, topology,
    n_nodes, cost knobs): queries never mutate except the Bernoulli
@@ -53,7 +53,7 @@ let draw_windows rng ~interval ~duration ~horizon =
 (* Deterministic directed-link enumeration: flat worlds get one ingress
    pseudo-link per node; fat-tree worlds get Host links by node, then Up
    links by (leaf, spine), then Down links by (spine, leaf).  Up/Down
-   links only exist once a second leaf does — same rule as Shardmap. *)
+   links only exist once a second leaf does. *)
 let draw ~rng ~n_nodes topo =
   Topology.validate topo;
   if n_nodes <= 0 then invalid_arg "Linkfault.draw: n_nodes must be > 0";

@@ -1,4 +1,4 @@
-(** Seed-derived fabric fault schedules (DESIGN.md section 15).
+(** Seed-derived fabric fault schedules (DESIGN.md section 14).
 
     One [draw] materialises every link's down windows, bandwidth-derate
     windows and corrupt-and-replay Bernoulli stream up front from a
@@ -22,7 +22,7 @@ type t
 (** Draws the full schedule from [rng] using the calling domain's
     {!Costs.current} fabric fault knobs.  Raises [Invalid_argument] if
     [fault_link_derate_factor] leaves (0, 1] — a derate may only slow a
-    link, never tighten a sharding pair bound — or if [n_nodes <= 0]. *)
+    link — or if [n_nodes <= 0]. *)
 val draw : rng:Rng.t -> n_nodes:int -> Topology.t -> t
 
 val topology : t -> Topology.t

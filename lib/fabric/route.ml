@@ -78,45 +78,37 @@ module Memo = struct
      and hop-list construction can leave the per-packet hot path.  The
      table is per-instance (one per fabric): module-level memo state
      would couple sweep points and break parallel byte-identity. *)
-  (* Sharded simulations look routes up from whichever shard is
-     executing, so the cache is an array of tables indexed by the
-     caller's shard: each shard only ever touches its own slot, keeping
-     lookup order (hence nothing — the tables are write-once caches of a
-     pure function) per-shard deterministic. *)
   (* Keys carry the failure epoch: epoch 0 is the immortal fabric (no
      link ever down there — the first epoch boundary is the first down
      window's start), so the legacy [route] entry point reads the same
      slot layout fault-armed runs do. *)
   type route_memo = {
     topo : Topology.t;
-    tbls : (int * int * int * int, hop list * bool) Hashtbl.t array;
+    tbl : (int * int * int * int, hop list * bool) Hashtbl.t;
   }
 
   type t = route_memo
 
-  let create ?(shards = 1) topo =
-    if shards <= 0 then invalid_arg "Route.Memo.create: shards must be > 0";
-    { topo; tbls = Array.init shards (fun _ -> Hashtbl.create 256) }
+  let create topo = { topo; tbl = Hashtbl.create 256 }
 
-  let route_epoch ?(shard = 0) m ~epoch ~down ~src ~dst ~dst_ctx =
+  let route_epoch m ~epoch ~down ~src ~dst ~dst_ctx =
     match m.topo with
     | Topology.Flat -> ([], false)
     | Topology.Fat_tree _ ->
-      let tbl = m.tbls.(shard) in
       let key = (src, dst, dst_ctx, epoch) in
-      (match Hashtbl.find_opt tbl key with
+      (match Hashtbl.find_opt m.tbl key with
        | Some r -> r
        | None ->
          (* never memoize Fabric_unreachable: let it propagate so the
             caller's parking logic sees it fresh each probe *)
          let r = route_avoiding m.topo ~down ~src ~dst ~dst_ctx in
-         Hashtbl.add tbl key r;
+         Hashtbl.add m.tbl key r;
          r)
 
   let no_down _ = false
 
-  let route ?shard m ~src ~dst ~dst_ctx =
-    fst (route_epoch ?shard m ~epoch:0 ~down:no_down ~src ~dst ~dst_ctx)
+  let route m ~src ~dst ~dst_ctx =
+    fst (route_epoch m ~epoch:0 ~down:no_down ~src ~dst ~dst_ctx)
 end
 
 let describe_hop { tier; a; b } =

@@ -56,15 +56,10 @@ val route_avoiding :
 module Memo : sig
   type t
 
-  (** [create ?shards topo] sizes the cache for [shards] independent
-      slots (default 1): sharded fabrics give every shard its own table
-      so concurrent-epoch lookups never interleave in one hashtable. *)
-  val create : ?shards:int -> Topology.t -> t
+  val create : Topology.t -> t
 
-  (** [route ?shard m] looks up in slot [shard] (default 0).  All slots
-      return identical hop lists — they cache the same pure function.
-      Equivalent to {!route_epoch} at epoch 0 (the immortal fabric). *)
-  val route : ?shard:int -> t -> src:int -> dst:int -> dst_ctx:int -> hop list
+  (** Equivalent to {!route_epoch} at epoch 0 (the immortal fabric). *)
+  val route : t -> src:int -> dst:int -> dst_ctx:int -> hop list
 
   (** Epoch-keyed failover lookup: memoizes {!Route.route_avoiding} per
       [(src, dst, dst_ctx, epoch)].  [down] must be the pure down
@@ -72,6 +67,6 @@ module Memo : sig
       [Linkfault.down_in_epoch]); {!Route.Fabric_unreachable} is never
       memoized and propagates fresh on every probe. *)
   val route_epoch :
-    ?shard:int -> t -> epoch:int -> down:(hop -> bool) ->
+    t -> epoch:int -> down:(hop -> bool) ->
     src:int -> dst:int -> dst_ctx:int -> hop list * bool
 end

@@ -33,8 +33,8 @@ let kind_to_string = function
    worker-domain schedule). *)
 let next_uid = Atomic.make 0
 
-(* Process-wide count of sharding requests refused on genuinely
-   unshardable configs (single-node cluster, degenerate cost table).
+(* Process-wide count of sharding requests refused on unshardable
+   configs (single-node cluster, fat-tree, degenerate cost table).
    Host-side observability only — Engine_obs reports the per-figure
    delta as the zero-omitted engine/shards/refused key, and figure
    headers note it.  Lives here rather than in Engine_obs to keep the
@@ -45,85 +45,29 @@ let note_shard_refused () = Atomic.incr shard_refused
 
 let shard_refusals () = Atomic.get shard_refused
 
-(* Test-visible switch (like [Hfi.batching]): partition each experiment's
-   event population into per-node shards (Sim.shard_init).  Flat
-   topologies shard with lookahead = link_latency; fat-tree topologies
-   shard too — links get Shardmap owner shards and the tighter hop-floor
-   lookahead (switch_latency + the wire serialization floor), declared
-   per shard pair so host-to-host couplings keep the full link_latency
-   horizon.  A request is refused ([note_shard_refused], reported as the
-   zero-omitted engine/shards/refused key) only on genuinely unshardable
-   configs: a single-node cluster, or a cost table whose derived
-   lookahead is not positive and finite.  Byte-identity with the
-   unsharded engine is enforced by test/test_scale.ml and
-   `picobench scale`.  Set before a sweep, never inside one. *)
-let sharding = ref false
-
-(* Companion switch: deliver same-instant fabric arrivals in content
-   order (see [Fabric.create ?ordered]).  Sharded clusters force it on —
-   barrier-merge order differs from unsharded insertion order, and the
-   content order is the one both engines can agree on — so this ref only
-   matters for the *unsharded* comparator runs of identity checks, which
-   must opt into the same tie-break to be byte-comparable.  Default off:
-   the calibrated figures keep their historical arrival order. *)
-let ordered_arrivals = ref false
-
-let build kind ~n_nodes ?topology ?sharding:(shard_req = !sharding)
-    ?(carry_payload = false) ?(service_cores = 4) ?(lwk_cores = 64)
-    ?(seed = 0x5EEDL) ?rcv_entries () =
+let build kind ~n_nodes ?topology ?(sharding = false)
+    ?(ordered_arrivals = false) ?(carry_payload = false) ?(service_cores = 4)
+    ?(lwk_cores = 64) ?(seed = 0x5EEDL) ?rcv_entries () =
   if n_nodes <= 0 then invalid_arg "Cluster.build: n_nodes must be > 0";
   let sim = Sim.create () in
   Sim.set_label sim (Printf.sprintf "%s/%dn" (kind_to_string kind) n_nodes);
   let topo = match topology with None -> Topology.Flat | Some to_ -> to_ in
+  (* Per-node event sharding: on a flat fabric every cross-node coupling
+     crosses the wire, one full link_latency out, so that is the epoch
+     lookahead.  Fat-tree worlds do not shard (DESIGN.md section 12: the
+     per-link decomposition measured slower than the unsharded walk).  A
+     request on a fat-tree, a single-node cluster, or a cost table whose
+     link_latency is not positive and finite runs unsharded and is
+     counted ([note_shard_refused]), never silently dropped. *)
+  let c = Costs.current () in
   let sharded =
-    if not (shard_req && n_nodes > 1) then begin
-      if shard_req then note_shard_refused ();
-      false
-    end
-    else begin
-      let c = Costs.current () in
-      if Topology.is_flat topo then
-        (* Flat: every cross-node coupling crosses the wire, one full
-           link_latency out.  No pair bound — the scalar horizon is
-           already the tightest coupling there is. *)
-        if Float.is_finite c.link_latency && c.link_latency > 0. then begin
-          Sim.shard_init sim ~shards:n_nodes ~lookahead:c.link_latency ();
-          true
-        end
-        else begin
-          note_shard_refused ();
-          false
-        end
-      else begin
-        (* Fat-tree: link ownership decomposes the hop walk, and the
-           tightest cross-shard coupling becomes one switch traversal
-           plus the per-packet serialization floor (Shardmap). *)
-        let sm = Shardmap.create topo ~shards:n_nodes in
-        let hop_floor =
-          c.switch_latency
-          +. (float_of_int c.packet_overhead_bytes /. c.link_bandwidth)
-        in
-        let lookahead =
-          Shardmap.lookahead sm ~link_latency:c.link_latency
-            ~hop_floor
-        in
-        if Float.is_finite lookahead && lookahead > 0. then begin
-          Sim.shard_init sim ~shards:n_nodes
-            ~pair_bound:
-              (Shardmap.pair_bound sm
-                 ~link_latency:c.link_latency ~hop_floor)
-            ~lookahead ();
-          true
-        end
-        else begin
-          note_shard_refused ();
-          false
-        end
-      end
-    end
+    sharding && n_nodes > 1 && Topology.is_flat topo
+    && Float.is_finite c.link_latency && c.link_latency > 0.
   in
+  if sharded then Sim.shard_init sim ~shards:n_nodes ~lookahead:c.link_latency
+  else if sharding then note_shard_refused ();
   let fabric =
-    Fabric.create ~topology:topo ~ordered:(sharded || !ordered_arrivals) sim
+    Fabric.create ~topology:topo ~ordered:(sharded || ordered_arrivals) sim
   in
   let rng = Rng.create ~seed in
   let make_node id = Sim.with_shard sim id @@ fun () ->

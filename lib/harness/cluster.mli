@@ -36,38 +36,33 @@ type t = {
           so it must never feed a simulated or reported value *)
 }
 
-(** Test-visible switch (default [false]): shard each experiment's event
-    population per node ({!Sim.shard_init}).  Flat topologies use
-    lookahead = [link_latency]; fat-tree topologies shard through the
-    {!Shardmap} link-ownership map with the tighter hop-floor lookahead
-    ([switch_latency] + the wire serialization floor), declared per
-    shard pair so host-to-host couplings keep the full [link_latency]
-    horizon.  Requests are refused only on genuinely unshardable
-    configs (single-node cluster, degenerate cost table) — see
-    {!shard_refusals}.  Byte-identity with the unsharded engine is a
-    hard invariant.  Set before a sweep, never inside one. *)
-val sharding : bool ref
-
 (** Process-wide count of sharding requests refused on unshardable
-    configs.  {!Engine_obs.measure} reports the per-figure delta as the
-    zero-omitted [engine/shards/refused] key; figures note a nonzero
-    delta in their header. *)
+    configs (see {!build}).  {!Engine_obs.measure} reports the
+    per-figure delta as the zero-omitted [engine/shards/refused] key;
+    figures note a nonzero delta in their header. *)
 val shard_refusals : unit -> int
-
-(** Test-visible switch (default [false]): build fabrics with
-    [Fabric.create ~ordered:true], delivering same-instant arrivals in
-    content order.  Sharded clusters force this regardless (the sharded
-    engine's barrier merge already is that order); the switch exists so
-    {e unsharded} comparator runs can opt into the same tie-break —
-    shard-on/off byte-identity only holds between runs that share it.
-    Default off: calibrated figures keep their historical arrival
-    order.  Set before a sweep, never inside one. *)
-val ordered_arrivals : bool ref
 
 (** [build kind ~n_nodes] assembles the cluster.  [topology] shapes the
     interconnect (default {!Topology.Flat}, the calibrated model every
-    paper figure uses).  [sharding] overrides the {!sharding} switch for
-    this cluster.  [carry_payload] turns on end-to-end data fidelity
+    paper figure uses).
+
+    [sharding] (default [false]) partitions the event population per
+    node ({!Sim.shard_init}, lookahead = [link_latency]).  Only flat
+    multi-node worlds with a positive finite [link_latency] shard; a
+    request on any other config runs unsharded and is counted in
+    {!shard_refusals}.  Simulation results are bit-identical to the
+    unsharded run that shares its arrival order.
+
+    [ordered_arrivals] (default [false]) builds the fabric with
+    [Fabric.create ~ordered:true], delivering same-instant arrivals in
+    content order.  Sharded clusters force it; unsharded comparator
+    runs pass it to share that tie-break, since shard-on/off
+    byte-identity only holds between runs that do.  Calibrated figures
+    keep the historical order.
+    @raise Invalid_argument with [ordered_arrivals] on a non-flat
+    topology.
+
+    [carry_payload] turns on end-to-end data fidelity
     (tests/examples; off for large sweeps).  [service_cores] is the
     per-node CPU count reserved for OS activity (default 4, as on
     Oakforest-PACS). *)
@@ -76,6 +71,7 @@ val build :
   n_nodes:int ->
   ?topology:Topology.t ->
   ?sharding:bool ->
+  ?ordered_arrivals:bool ->
   ?carry_payload:bool ->
   ?service_cores:int ->
   ?lwk_cores:int ->

@@ -19,6 +19,7 @@ let run (cl : Cluster.t) ~ranks_per_node app =
   let comms = Array.make world None in
   let foms = Array.make world 0. in
   let inits = Array.make world 0. in
+  let finished = Array.make world false in
   let ready = Syncpoint.create sim ~parties:world in
   let errors = ref [] in
   let started = Sim.now sim in
@@ -54,7 +55,8 @@ let run (cl : Cluster.t) ~ranks_per_node app =
           Sim.shard_engage sim;
           Endpoint.connect ep ~peers;
           let fom = app comm in
-          foms.(rank) <- fom
+          foms.(rank) <- fom;
+          finished.(rank) <- true
         with e ->
           (* Record and stop this rank; peers blocked on it simply never
              resume, the event queue drains, and the run is reported as
@@ -70,6 +72,16 @@ let run (cl : Cluster.t) ~ranks_per_node app =
      failwith
        (Printf.sprintf "Experiment.run: rank %d raised %s" rank
           (Printexc.to_string e)));
+  (* A rank still blocked when the queue drained (a deadlock, or a wait
+     nothing will ever satisfy) would otherwise report a plausible FOM
+     of 0 ns. *)
+  (match List.filter (fun r -> not finished.(r)) (List.init world Fun.id) with
+   | [] -> ()
+   | hung ->
+     failwith
+       (Printf.sprintf "Experiment.run: %s: rank(s) %s did not finish"
+          (Sim.label sim)
+          (String.concat ", " (List.map string_of_int hung))));
   let all_comms =
     Array.to_list comms
     |> List.map (function Some c -> c | None -> failwith "rank did not start")

@@ -147,7 +147,7 @@ let install (cl : Cluster.t) =
                  Rng.float crc_rng < (Costs.current ()).Costs.fault_wire_crc)))
       cl.Cluster.nodes
   end;
-  (* Fabric fault domain (DESIGN.md section 15): one split, taken after
+  (* Fabric fault domain (DESIGN.md section 14): one split, taken after
      the node-fault streams so arming it never shifts their draws — and
      taken at all only when some fabric rate is nonzero, so at all-zero
      fabric rates the cluster RNG is untouched (the zero-rate no-op

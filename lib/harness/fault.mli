@@ -19,7 +19,7 @@
       again.
     - {b Linux service-CPU stalls}: a stall occupies one OS-service CPU
       for [fault_service_stall_duration] ns; offloads queue behind it.
-    - {b fabric link faults} (DESIGN.md section 15): per-link down/up
+    - {b fabric link faults} (DESIGN.md section 14): per-link down/up
       windows, bandwidth-derate windows and corrupt-and-replay streams
       ({!Linkfault}), installed on the cluster's fabric.  Routing stays
       a pure function of [(src, dst, dst_ctx, failure epoch)]; packets

@@ -1155,9 +1155,9 @@ let fabric ?jobs () =
 (* --- At-scale sweeps: sharded engine + steady-state fast-forward ------------ *)
 
 (* The Figures 5-7-shaped sweep pushed to the node counts the paper's
-   cluster actually had, made tractable by the two test-visible engine
-   switches: per-node event sharding ([Cluster.sharding], with the
-   content-ordered barrier merge) and steady-state fast-forward
+   cluster actually had, made tractable by two engine switches: per-node
+   event sharding ([Cluster.build ~sharding], with the content-ordered
+   barrier merge; flat worlds only) and steady-state fast-forward
    ([Sim.fast_forward], the closed forms that elide events but never
    costs).  Part A proves on small worlds that neither switch changes
    simulation results; Part B runs the big sweep with both on. *)
@@ -1170,8 +1170,8 @@ let at_scale_nodes s =
 (* Everything simulated a run produced, as exact bit patterns: any float
    divergence upstream lands in at least one of these.  The per-tier
    link counters are empty under Flat (the string is unchanged) and
-   cover the part a decomposed fat-tree hop walk could plausibly skew:
-   FCFS grant order, queue depths, per-link busy-time float sums. *)
+   cover what fat-tree train formation could plausibly skew: FCFS grant
+   order, queue depths, per-link busy-time float sums. *)
 let at_scale_fingerprint (cl : Cluster.t) (res : Experiment.result) =
   (* Fabric fault counters are results too (parks, replays, reroutes,
      retries all happen at result-determined instants), unlike engine
@@ -1195,21 +1195,21 @@ let at_scale_fingerprint (cl : Cluster.t) (res : Experiment.result) =
     fs.Fabric.fs_replays fs.Fabric.fs_reroutes fs.Fabric.fs_egress_parks
     fs.Fabric.fs_retries fs.Fabric.fs_degraded
 
-(* Sequential on purpose: each probe mutates the process-wide switches,
-   which must never happen inside a pool (workers read them). *)
+(* Sequential on purpose: each probe mutates the process-wide
+   fast-forward switch, which must never happen inside a pool (workers
+   read it). *)
 let at_scale_probe ?topology ?fault ~shard ~ff kind =
   Sim.fast_forward := ff;
-  (* Identity across shard-on/off only holds between runs sharing the
-     same same-instant arrival tie-break (see [Cluster.ordered_arrivals]):
-     sharded builds force the content order, so the unsharded comparator
-     opts into it too. *)
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () ->
-      Sim.fast_forward := false;
-      Cluster.ordered_arrivals := false)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Sim.fast_forward := false) @@ fun () ->
   let body () =
-    let cl = Cluster.build kind ~n_nodes:4 ?topology ~sharding:shard () in
+    (* Identity across shard-on/off only holds between runs sharing the
+       same same-instant arrival tie-break: sharded builds force the
+       content order, so flat comparators opt into it too.  Fat-trees
+       never shard and keep the default order. *)
+    let cl =
+      Cluster.build kind ~n_nodes:4 ?topology ~sharding:shard
+        ~ordered_arrivals:(Option.is_none topology) ()
+    in
     if fault <> None then Fault.install cl;
     let res =
       Experiment.run cl ~ranks_per_node:2 (fun c -> Pico_apps.Umt.run c)
@@ -1221,9 +1221,8 @@ let at_scale_probe ?topology ?fault ~shard ~ff kind =
   | Some patch -> Costs.with_patched patch body
 
 (* The oversubscribed fat-tree tail: fewer, larger node counts than the
-   flat sweep — the sharded fabric is what makes these tractable at all
-   — with a starved core (radix 4, oversub 2: two spines for four hosts
-   per leaf). *)
+   flat sweep, with a starved core (radix 4, oversub 2: two spines for
+   four hosts per leaf). *)
 let oversub_nodes s =
   if s = full then [ 64; 128; 256 ]
   else if s = medium then [ 32; 64 ]
@@ -1258,28 +1257,30 @@ let at_scale ?(scale = quick) ?jobs () =
   buf_add b
     (Printf.sprintf "fast-forward on/off: %s (3 OS configs)\n"
        (if ff_ok then "OK, byte-identical" else "MISMATCH"));
-  (* Same law on a fat-tree: links have Shardmap owner shards, the hop
-     walk is decomposed into per-shard events, and the fingerprint
-     additionally covers the per-tier link counters. *)
-  let ft_probe = at_scale_probe ~topology:(Topology.Fat_tree { radix = 2; oversub = 1 }) in
-  let ft_ok =
+  (* Fast-forward on a fat-tree: fat-trees never shard, but the relaxed
+     SDMA gate still forms trains that link contention must abort, and
+     the fingerprint additionally covers the per-tier link counters. *)
+  let ft_topo = Topology.Fat_tree { radix = 2; oversub = 1 } in
+  let ft_ff_equiv ?fault () =
     List.for_all
       (fun kind ->
-        let base = ft_probe ~shard:false ~ff:false kind in
-        ft_probe ~shard:true ~ff:false kind = base
-        && ft_probe ~shard:true ~ff:true kind = base)
+        let probe ff =
+          at_scale_probe ~topology:ft_topo ?fault ~shard:false ~ff kind
+        in
+        probe true = probe false)
       os_kinds
   in
-  Report.record ~figure:"scale" ~metric:"ft_shard_equiv"
+  let ft_ok = ft_ff_equiv () in
+  Report.record ~figure:"scale" ~metric:"ft_ff_equiv"
     (if ft_ok then 1. else 0.);
   buf_add b
-    (Printf.sprintf "fat-tree sharding on/off: %s (3 OS configs, radix 2)\n"
+    (Printf.sprintf
+       "fat-tree fast-forward on/off: %s (3 OS configs, radix 2)\n"
        (if ft_ok then "OK, byte-identical" else "MISMATCH"));
   (* And once more with a live link-fault schedule (DESIGN.md section
-     15): parked links stay owned by their Shardmap shard, down-window
-     transitions land on result-determined instants, and the
-     fingerprint's new fault counters must survive shard-on/off and
-     fast-forward bit for bit. *)
+     14): down-window transitions land on result-determined instants,
+     and the fingerprint's fault counters must survive fast-forward bit
+     for bit. *)
   let ft_fault c =
     c.Costs.fault_horizon <- 4.0e7;
     c.Costs.fault_link_down_interval <- 3.0e5;
@@ -1288,24 +1289,12 @@ let at_scale ?(scale = quick) ?jobs () =
     c.Costs.fault_link_derate_duration <- 1.5e5;
     c.Costs.fault_link_corrupt <- 5.0e-4
   in
-  let ftf_probe =
-    at_scale_probe
-      ~topology:(Topology.Fat_tree { radix = 2; oversub = 1 })
-      ~fault:ft_fault
-  in
-  let ftf_ok =
-    List.for_all
-      (fun kind ->
-        let base = ftf_probe ~shard:false ~ff:false kind in
-        ftf_probe ~shard:true ~ff:false kind = base
-        && ftf_probe ~shard:true ~ff:true kind = base)
-      os_kinds
-  in
-  Report.record ~figure:"scale" ~metric:"ft_fault_shard_equiv"
+  let ftf_ok = ft_ff_equiv ~fault:ft_fault () in
+  Report.record ~figure:"scale" ~metric:"ft_fault_ff_equiv"
     (if ftf_ok then 1. else 0.);
   buf_add b
     (Printf.sprintf
-       "faulted fat-tree sharding on/off: %s (3 OS configs, radix 2)\n"
+       "faulted fat-tree fast-forward on/off: %s (3 OS configs, radix 2)\n"
        (if ftf_ok then "OK, byte-identical" else "MISMATCH"));
   (* Ledger probes: arming latency ledgers is host-side recording only,
      so (1) simulation results must stay bit-identical to the unarmed
@@ -1353,8 +1342,9 @@ let at_scale ?(scale = quick) ?jobs () =
   buf_add b
     (Printf.sprintf "ledger shard on/off: %s (3 OS configs)\n\n"
        (if lg_content_ok then "OK, breakdown byte-identical" else "MISMATCH"));
-  (* Part B: the big sweep.  Switches go on before the pool spins up and
-     come off after it drains — workers only ever read them. *)
+  (* Part B: the big sweep, sharded.  Fast-forward goes on before the
+     pool spins up and comes off after it drains — workers only ever
+     read it. *)
   let rpn = 8 in
   let nodes = at_scale_nodes scale in
   (* Half the steps and sweep phases of the calibrated Figure 6a runs:
@@ -1366,11 +1356,7 @@ let at_scale ?(scale = quick) ?jobs () =
     { Pico_apps.Umt.default with steps = 2; sweep_phases = 2 }
   in
   Sim.fast_forward := true;
-  Cluster.sharding := true;
-  Fun.protect ~finally:(fun () ->
-      Sim.fast_forward := false;
-      Cluster.sharding := false)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Sim.fast_forward := false) @@ fun () ->
   let points =
     List.concat_map (fun n -> List.map (fun k -> (n, k)) os_kinds) nodes
   in
@@ -1378,7 +1364,7 @@ let at_scale ?(scale = quick) ?jobs () =
     Pool.with_pool ?jobs (fun pool ->
         Pool.map pool
           (fun (n, kind) ->
-            let cl = Cluster.build kind ~n_nodes:n () in
+            let cl = Cluster.build kind ~n_nodes:n ~sharding:true () in
             let res =
               Experiment.run cl ~ranks_per_node:rpn (fun c ->
                   Pico_apps.Umt.run ~params:umt_params c)
@@ -1416,11 +1402,11 @@ let at_scale ?(scale = quick) ?jobs () =
        ~header:[ "nodes"; "Linux"; "McKernel"; "McKernel+HFI1"; "Linux FOM" ]
        rows);
   (* Part C: the oversubscribed fat-tree tail, 16 ranks/node on a
-     starved core — the congested-topology runs the sharded fabric
-     exists for.  Flat comparators run at the same node counts so the
+     starved core.  Flat comparators run at the same node counts so the
      collapse knee — the per-OS-kind fat-tree slowdown as the spine
-     saturates — is a within-figure ratio.  This sweep's wall clock is
-     its own warn-only FOM in perf.sh (engine/ft_host_seconds). *)
+     saturates — is a within-figure ratio; both sides run unsharded, so
+     both use the default arrival order.  This sweep's wall clock is its
+     own warn-only FOM in perf.sh (engine/ft_host_seconds). *)
   let ft_rpn = 16 in
   let ft_nodes = oversub_nodes scale in
   let ft_points =
@@ -1524,15 +1510,14 @@ type serve_point = {
 
 let serve_clients = 1
 
-let serve_world ?topology ?(sharding = false) kind ~n_nodes =
-  let cl = Cluster.build kind ~n_nodes ?topology ~sharding () in
-  let out = Array.make n_nodes None in
+let serve_world (cl : Cluster.t) =
+  let out = Array.make (Array.length cl.Cluster.nodes) None in
   let plans =
     Serve.plans ~split:(fun () -> Rng.split cl.Cluster.rng)
       ~clients:serve_clients
   in
   let res = Experiment.run cl ~ranks_per_node:1 (Serve.run ~plans ~out) in
-  (cl, res, out)
+  (res, out)
 
 let serve_aggregate (res : Experiment.result) out =
   let c = Costs.current () in
@@ -1606,14 +1591,11 @@ let serve_fingerprint (cl : Cluster.t) (res : Experiment.result) out =
     out;
   Buffer.contents b
 
-(* Small armed world for the identity probes: moderate load with
+(* Small armed flat world for the identity probes: moderate load with
    admission, breaker and deadline all on, so the shed/trip counters in
-   the fingerprint are live.  Sequential on purpose (mutates the
-   process-wide switches). *)
-let serve_probe ?topology ~shard kind =
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
-  @@ fun () ->
+   the fingerprint are live.  Both sides share the ordered arrival
+   tie-break that sharded builds force. *)
+let serve_probe ~shard kind =
   Costs.with_patched (fun c ->
       c.Costs.serve_arrival_interval <- 2_500.;
       c.Costs.serve_horizon <- 1.0e6;
@@ -1623,8 +1605,10 @@ let serve_probe ?topology ~shard kind =
       c.Costs.serve_breaker_threshold <- 4;
       c.Costs.serve_timeout <- 1.0e6)
   @@ fun () ->
-  let n_nodes = 4 in
-  let cl, res, out = serve_world ?topology ~sharding:shard kind ~n_nodes in
+  let cl =
+    Cluster.build kind ~n_nodes:4 ~sharding:shard ~ordered_arrivals:true ()
+  in
+  let res, out = serve_world cl in
   serve_fingerprint cl res out
 
 (* The load sweep: offered load per point via the arrival interval, with
@@ -1694,23 +1678,19 @@ let serve ?jobs () =
     (Printf.sprintf "serve defaults inert: %s (%.1f MB/s)\n"
        (if inert_ok then "OK, byte-identical" else "MISMATCH")
        guarded_mbps);
-  (* Part B: shard-on/off identity, flat and fat-tree, all OS configs —
-     with admission, breaker and deadline armed so shed/trip counters
-     are part of the compared fingerprints. *)
+  (* Part B: shard-on/off identity on the flat fabric (fat-trees never
+     shard), all OS configs — with admission, breaker and deadline armed
+     so shed/trip counters are part of the compared fingerprints. *)
   let shard_ok =
     List.for_all
-      (fun (_, topology) ->
-        List.for_all
-          (fun kind ->
-            serve_probe ?topology ~shard:false kind
-            = serve_probe ?topology ~shard:true kind)
-          os_kinds)
-      serve_topos
+      (fun kind ->
+        serve_probe ~shard:false kind = serve_probe ~shard:true kind)
+      os_kinds
   in
   Report.record ~figure:"serve" ~metric:"shard_equiv"
     (if shard_ok then 1. else 0.);
   buf_add b
-    (Printf.sprintf "serve sharding on/off: %s (3 OS configs, flat + fat-tree)\n"
+    (Printf.sprintf "serve sharding on/off: %s (3 OS configs, flat)\n"
        (if shard_ok then "OK, byte-identical" else "MISMATCH"));
   (* Ledger identity: arming the serve ledgers changes no result, and a
      sharded run records byte-identical breakdown content. *)
@@ -1756,7 +1736,9 @@ let serve ?jobs () =
         Pool.map pool
           (fun (_, topology, interval, kind) ->
             Costs.with_patched (serve_sweep_patch ~interval) (fun () ->
-                let _, res, out = serve_world ?topology kind ~n_nodes in
+                let res, out =
+                  serve_world (Cluster.build kind ~n_nodes ?topology ())
+                in
                 serve_aggregate res out))
           points)
   in

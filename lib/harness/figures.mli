@@ -98,12 +98,15 @@ val fabric : ?jobs:int -> unit -> string
 (** At-scale sweeps on the sharded + fast-forwarded engine: (a) per OS
     configuration, small-world proof that shard-on/off and
     fast-forward-on/off produce byte-identical simulation results (the
-    unsharded comparator opts into [Cluster.ordered_arrivals], the
-    tie-break sharded builds force); (b) the Figure 6a-shaped UMT2013
-    sweep pushed to 64-256 nodes (quick scale; up to 1024 at full) with
-    both switches on — the paper's at-scale collapse in minutes.
-    [engine/shards/*] report keys expose per-shard event counts, barrier
-    rounds and epochs skipped.  Not part of {!all}. *)
+    unsharded comparator passes [~ordered_arrivals:true], the tie-break
+    sharded builds force), plus fast-forward-on/off on unsharded
+    fat-trees with and without link faults; (b) the Figure 6a-shaped
+    UMT2013 sweep pushed to 64-256 nodes (quick scale; up to 1024 at
+    full) with both switches on — the paper's at-scale collapse in
+    minutes; (c) an unsharded oversubscribed fat-tree tail against flat
+    at the same node counts.  [engine/shards/*] report keys expose
+    per-shard event counts, barrier rounds and epochs skipped.  Not part
+    of {!all}. *)
 val at_scale : ?scale:scale -> ?jobs:int -> unit -> string
 
 (** One aggregated point of the serve load sweep.  Every ratio-style
@@ -126,12 +129,10 @@ type serve_point = {
   sv_occupancy : float;
 }
 
-(** Build and run one serve world under the current cost table (ranks:
+(** Run one serve world on [cl] under the current cost table (ranks:
     one client, the rest servers). *)
 val serve_world :
-  ?topology:Pico_fabric.Topology.t -> ?sharding:bool -> Cluster.os_kind ->
-  n_nodes:int ->
-  Cluster.t * Experiment.result * Pico_serve.Serve.rank_stats option array
+  Cluster.t -> Experiment.result * Pico_serve.Serve.rank_stats option array
 
 val serve_aggregate :
   Experiment.result -> Pico_serve.Serve.rank_stats option array -> serve_point
@@ -141,7 +142,7 @@ val serve_aggregate :
     no float ops — a legacy world is byte-identical to the pre-serve
     tree); (b) shard-on/off and ledger-armed identity of the full serve
     fingerprint — every latency sample plus the shed/tripped/trip
-    counters — on flat and 2:1 fat-tree worlds per OS configuration;
+    counters — on flat worlds per OS configuration;
     (c) an offered-load sweep across the saturation knee (Linux /
     McKernel+offload / McKernel+PicoDriver x topology) reporting
     goodput, exact nearest-rank p50/p99/p999, shed/tripped counts and

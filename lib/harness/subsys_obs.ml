@@ -43,7 +43,7 @@ type sample = {
      bytes, busy_ns, peak queue, contended arrivals.  Empty under the
      flat topology, so calibrated figures' reports are byte-identical. *)
   fabric : (string * (int * int * int * float * int * int)) list;
-  (* Fabric fault domain (DESIGN.md section 15): all zero / empty when no
+  (* Fabric fault domain (DESIGN.md section 14): all zero / empty when no
      link-fault injector is installed, so sunny-day reports stay
      byte-identical. *)
   fab_parks : int;

@@ -24,7 +24,7 @@
       [fabric/<up|down|host>/{links,packets,bytes,busy_ns,peak_queue,
       contended}]
     - fabric fault domain (link-fault injector armed only, DESIGN.md
-      section 15): [fault/fabric/{parks,park_wait_ns,replays,reroutes,
+      section 14): [fault/fabric/{parks,park_wait_ns,replays,reroutes,
       egress_parks,retries,degraded_flows}] and per tier
       [fabric/<tier>/downtime_ns]
 

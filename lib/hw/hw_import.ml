@@ -5,4 +5,3 @@ module Mailbox = Pico_engine.Mailbox
 module Semaphore = Pico_engine.Semaphore
 module Stats = Pico_engine.Stats
 module Rng = Pico_engine.Rng
-module Trace = Pico_engine.Trace

@@ -67,8 +67,6 @@ let note_round_trip t name dt =
 
 let offload t ~name f =
   t.calls <- t.calls + 1;
-  Pico_engine.Trace.debug t.sim "delegator" "offload %s (proxies=%d)" name
-    t.proxies;
   let started = Sim.now t.sim in
   let sp = Span.begin_ t.sim ~cat:"offload" ~name in
   let lg = Ledger.begin_ t.sim ~op:("offload/" ^ name) in

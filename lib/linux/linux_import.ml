@@ -8,7 +8,6 @@ module Semaphore = Pico_engine.Semaphore
 module Resource = Pico_engine.Resource
 module Stats = Pico_engine.Stats
 module Rng = Pico_engine.Rng
-module Trace = Pico_engine.Trace
 module Addr = Pico_hw.Addr
 module Physmem = Pico_hw.Physmem
 module Pagetable = Pico_hw.Pagetable

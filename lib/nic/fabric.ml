@@ -17,14 +17,6 @@ type tier_stats = {
    reverse buffering order. *)
 type batch = (int * int * Wire.packet * (Wire.packet -> unit)) list ref
 
-(* Packets that reached one hop's arbitration point at one instant,
-   buffered until the tail-of-instant flush queues them on the link in
-   content order — the hop-level analogue of [batch].  Items are
-   (src_node, send order, packet, sink, remaining hops), in reverse
-   buffering order. *)
-type hop_batch =
-  (int * int * Wire.packet * (Wire.packet -> unit) * Route.hop list) list ref
-
 type t = {
   sim : Sim.t;
   topo : Topology.t;
@@ -39,16 +31,7 @@ type t = {
   ordered : bool;
   arrivals : (int * float, batch) Hashtbl.t; (* key: (dst, instant) *)
   mutable send_ord : int;
-  (* Decomposed (per-shard-steppable) hop walk, active when [ordered]
-     on a non-flat topology — see [hop_step]. *)
-  shardmap : Shardmap.t option;
-  hop_batches : (Route.hop * float, hop_batch) Hashtbl.t;
-  (* Nodes whose HFI currently holds a packet train (armed by Hfi); the
-     decomposed walk schedules contention aborts to these only. *)
-  armed : (int, unit) Hashtbl.t;
-  (* last instant an abort was scheduled to a node, for dedup *)
-  abort_marks : (int, float) Hashtbl.t;
-  (* Fabric fault domain (DESIGN.md section 15): absent on the immortal
+  (* Fabric fault domain (DESIGN.md section 14): absent on the immortal
      fabric — every hot-path check below is a single option match then.
      Int counters are order-insensitive; the float park waits accumulate
      per source node (sender-timeline order, identical shard-on/off) and
@@ -69,17 +52,12 @@ type t = {
 
 let create ?(topology = Topology.Flat) ?(ordered = false) sim =
   Topology.validate topology;
-  let decomposed = ordered && not (Topology.is_flat topology) in
-  let shards = max 1 (Sim.shard_count sim) in
-  { sim; topo = topology;
-    routes = Route.Memo.create ~shards topology;
+  if ordered && not (Topology.is_flat topology) then
+    invalid_arg "Fabric.create: ordered arrivals need a flat topology";
+  { sim; topo = topology; routes = Route.Memo.create topology;
     sinks = Hashtbl.create 64; links = Hashtbl.create 64; aborts = [];
     packets = 0; bytes = 0; ordered; arrivals = Hashtbl.create 64;
     send_ord = 0;
-    shardmap =
-      (if decomposed then Some (Shardmap.create topology ~shards) else None);
-    hop_batches = Hashtbl.create 64; armed = Hashtbl.create 16;
-    abort_marks = Hashtbl.create 16;
     faults = None; fs_reroutes = 0; fs_egress_parks = 0; fs_retries = 0;
     fs_degraded = 0; flat_parks = 0; flat_replays = 0;
     park_wait = Hashtbl.create 16; flat_last = Hashtbl.create 64 }
@@ -93,7 +71,6 @@ let attach t ~node_id ~rx =
 
 let detach t ~node_id =
   Hashtbl.remove t.sinks node_id;
-  Hashtbl.remove t.armed node_id;
   t.aborts <- List.remove_assoc node_id t.aborts
 
 let set_train_abort t ~node_id ~abort =
@@ -101,46 +78,6 @@ let set_train_abort t ~node_id ~abort =
   t.aborts <- List.sort (fun (a, _) (b, _) -> compare a b) l
 
 let fire_aborts t = List.iter (fun (_, abort) -> abort ()) t.aborts
-
-let decomposed t = Option.is_some t.shardmap
-
-(* Armed-train registry, maintained by the HFIs ([Hfi] arms on train
-   formation and disarms whenever its train clears).  Only meaningful to
-   the decomposed walk — the legacy walk fires every hook synchronously
-   — so the flat/unordered paths pay nothing. *)
-let arm_train t ~node_id =
-  if decomposed t then Hashtbl.replace t.armed node_id ()
-
-let disarm_train t ~node_id =
-  if decomposed t then Hashtbl.remove t.armed node_id
-
-(* Decomposed contention abort: a synchronous cross-node hook call would
-   mutate another shard's HFI from the link owner's shard (and its guard
-   wake-ups would land cross-shard at the current instant, below any
-   lookahead), so the owner instead {e schedules} the abort to each
-   armed node's own shard one [link_latency] out — a legal cross-shard
-   distance from every shard.  Aborting a train is always
-   semantics-preserving (batched and per-packet paths are bit-exact, the
-   PR 2 invariant), so the skew relative to the legacy synchronous call
-   only moves which of two identical-result paths runs; only the
-   train_aborts/events_elided counters can drift, and those are
-   excluded from every identity gate.  One abort per (node, instant) is
-   enough — the hook is idempotent — hence the mark dedup. *)
-let schedule_aborts t =
-  let sigma = Sim.now t.sim in
-  let when_ = sigma +. (Costs.current ()).Costs.link_latency in
-  List.iter
-    (fun (node, abort) ->
-      if
-        Hashtbl.mem t.armed node
-        && (match Hashtbl.find_opt t.abort_marks node with
-            | Some m -> m <> sigma
-            | None -> true)
-      then begin
-        Hashtbl.replace t.abort_marks node sigma;
-        Sim.at t.sim ~shard:node when_ abort
-      end)
-    t.aborts
 
 let link_of t hop =
   match Hashtbl.find_opt t.links hop with
@@ -157,7 +94,7 @@ let wire_time len =
   float_of_int (len + (Costs.current ()).packet_overhead_bytes)
   /. (Costs.current ()).link_bandwidth
 
-(* --- fabric fault domain (DESIGN.md section 15) --- *)
+(* --- fabric fault domain (DESIGN.md section 14) --- *)
 
 let set_link_faults t lf = t.faults <- lf
 
@@ -174,36 +111,19 @@ let bump_park_wait t ~src wait =
 
 (* Corrupt-and-replay repeats for one transit: draws the stream until a
    clean transmission.  The draw point must be result-determined —
-   fat-tree links draw at the arbitration instant (batch flushes are
-   content-sorted, so sharded and unsharded engines consume each link's
-   stream in the same order), flat pseudo-links at egress in
-   sender-timeline order. *)
+   fat-tree links draw when the packet reaches the hop, flat
+   pseudo-links at egress in sender-timeline order. *)
 let replay_count draw =
   let r = ref 0 in
   while draw () do incr r done;
   !r
 
-(* Serialization work for one fat-tree transit arbitrated at [time]: the
-   per-transit wire time — inflated by an active derate window (factor
-   in (0, 1], so work only grows and no sharding pair bound tightens) —
-   paid once per replay plus the original, replays holding the link so a
-   flow can never overtake itself, with the same per-copy float-addition
-   sequence on every walk. *)
-let faulted_work lf hop ~time ~wire ~replays =
-  let w =
-    match Linkfault.derate_at lf hop ~time with
-    | Some _ -> wire /. Linkfault.factor lf
-    | None -> wire
-  in
-  if replays = 0 then w
-  else begin
-    let acc = ref w in
-    for _ = 1 to replays do acc := !acc +. w done;
-    !acc
-  end
-
 (* Transit work on [link] for [hop], including any corrupt/derate fault
-   charge; identity to [wire_time] when no injector is installed. *)
+   charge; identity to [wire_time] when no injector is installed.  The
+   per-transit wire time — inflated by an active derate window (factor
+   in (0, 1], so work only grows) — is paid once per replay plus the
+   original, replays holding the link so a flow can never overtake
+   itself. *)
 let transit_work t link hop ~wire =
   match t.faults with
   | None -> wire
@@ -214,7 +134,14 @@ let transit_work t link hop ~wire =
       else 0
     in
     for _ = 1 to replays do Link.note_replay link done;
-    faulted_work lf hop ~time:(Sim.now t.sim) ~wire ~replays
+    let w =
+      match Linkfault.derate_at lf hop ~time:(Sim.now t.sim) with
+      | Some _ -> wire /. Linkfault.factor lf
+      | None -> wire
+    in
+    let acc = ref w in
+    for _ = 1 to replays do acc := !acc +. w done;
+    !acc
 
 let deliver t rx (p : Wire.packet) =
   t.packets <- t.packets + 1;
@@ -262,109 +189,6 @@ let hop_walk t rx (p : Wire.packet) hops =
                 ("bytes", string_of_int p.wire_len) ]))
         hops;
       deliver t rx p)
-
-(* Buffer one ordered arrival into the destination's same-instant batch;
-   must run at the arrival instant on the destination's shard.  The
-   first packet of the (dst, instant) batch schedules the tail-of-
-   instant flush, which delivers the batch sorted by (src_node, send
-   order) — see the discipline note in [send_at]. *)
-let buffer_arrival t rx (p : Wire.packet) ord =
-  let arrive = Sim.now t.sim in
-  let key = (p.dst_node, arrive) in
-  match Hashtbl.find_opt t.arrivals key with
-  | Some b -> b := (p.src_node, ord, p, rx) :: !b
-  | None ->
-    let b : batch = ref [ (p.src_node, ord, p, rx) ] in
-    Hashtbl.add t.arrivals key b;
-    Sim.at t.sim ~tail:true arrive (fun () ->
-        Hashtbl.remove t.arrivals key;
-        List.sort
-          (fun (sa, oa, _, _) (sb, ob, _, _) -> compare (sa, oa) (sb, ob))
-          !b
-        |> List.iter (fun (_, _, p, rx) -> deliver t rx p))
-
-(* Decomposed store-and-forward walk, the [ordered] fat-tree path: the
-   same hop sequence and float arithmetic as [hop_walk], cut into
-   per-shard events so a sharded engine can run congested topologies.
-
-   Each hop becomes a {e step} event at the hop's arbitration instant
-   [arrival +. switch_latency] on the link owner's shard
-   ({!Shardmap.owner}).  Same-instant steps at one hop buffer into a
-   batch flushed at the tail of the instant sorted by (src_node, send
-   order) — the event queue's own tie-break is insertion order
-   unsharded but barrier-merge order sharded, and FIFO link grants (who
-   waits, and the order the busy-time floats accumulate in) must not
-   depend on it.  The flush queues an arbitration process per packet,
-   in batch order; FIFO then grants in that order.  At the instant the
-   link is {e granted} (not when service completes) the packet's next
-   step is scheduled at [(grant +. wire) +. switch_latency] — exactly
-   the instant the legacy walk reaches the next hop's arbitration — so
-   consecutive cross-shard hops stay at least one wire serialization
-   plus switch traversal apart, the hop floor that [Shardmap] promises
-   {!Sim.shard_init} as the pair bound.  The final (Host) hop's owner
-   is the destination node, so its completion feeds the ordinary
-   ordered-arrival batch above on the right shard. *)
-let rec hop_step t (p : Wire.packet) rx ord hops =
-  match hops with
-  | [] -> assert false
-  | (hop : Route.hop) :: rest ->
-    let s = Sim.now t.sim in
-    let key = (hop, s) in
-    (match Hashtbl.find_opt t.hop_batches key with
-     | Some b -> b := (p.src_node, ord, p, rx, rest) :: !b
-     | None ->
-       let b : hop_batch = ref [ (p.src_node, ord, p, rx, rest) ] in
-       Hashtbl.add t.hop_batches key b;
-       Sim.at t.sim ~tail:true s (fun () ->
-           Hashtbl.remove t.hop_batches key;
-           List.sort
-             (fun (sa, oa, _, _, _) (sb, ob, _, _, _) ->
-               compare (sa, oa) (sb, ob))
-             !b
-           |> List.iter (fun (_, ord, p, rx, rest) ->
-                  arbitrate t hop p rx ord rest)))
-
-and arbitrate t hop (p : Wire.packet) rx ord rest =
-  let parked =
-    match t.faults with
-    | None -> None
-    | Some lf -> Linkfault.down_at lf hop ~time:(Sim.now t.sim)
-  in
-  match parked with
-  | Some u ->
-    (* Fault down window: the owner shard parks the packet (never drops
-       it) and re-steps it at the window's end — same shard, so always a
-       legal schedule; parked packets re-batch at (hop, end) and flush
-       in content order, so per-flow FIFO survives.  A dying link is
-       contention an armed train cannot see: schedule the aborts. *)
-    let s = Sim.now t.sim in
-    let link = link_of t hop in
-    Link.note_park link ~wait:(u -. s);
-    schedule_aborts t;
-    let sp = Span.begin_ t.sim ~cat:"fabric" ~name:"link_down" in
-    Sim.at t.sim u (fun () ->
-        Span.end_with t.sim sp (fun () -> [ ("link", Link.name link) ]);
-        hop_step t p rx ord (hop :: rest))
-  | None ->
-    Sim.spawn t.sim ~name:"fabric" (fun () ->
-        let link = link_of t hop in
-        if not (Link.idle link) then schedule_aborts t;
-        let sp = Span.begin_ t.sim ~cat:"fabric" ~name:(Link.tier link) in
-        let wire = transit_work t link hop ~wire:(wire_time p.wire_len) in
-        (match rest with
-         | [] ->
-           Link.transit link ~bytes:p.wire_len ~work:wire;
-           buffer_arrival t rx p ord
-         | next :: _ ->
-           let sm = Option.get t.shardmap in
-           let sw = (Costs.current ()).Costs.switch_latency in
-           Link.transit link ~bytes:p.wire_len ~work:wire
-             ~on_grant:(fun () ->
-               let step = (Sim.now t.sim +. wire) +. sw in
-               Sim.at t.sim ~shard:(Shardmap.owner sm next) step (fun () ->
-                   hop_step t p rx ord rest)));
-        Span.end_with t.sim sp (fun () ->
-            [ ("link", Link.name link); ("bytes", string_of_int p.wire_len) ]))
 
 (* Flat worlds instantiate no links (invariant), so their faults live on
    per-node ingress pseudo-links: corrupt-and-replay adds one wire time
@@ -450,10 +274,22 @@ let send_at t ~time (p : Wire.packet) =
            content order no execution schedule can perturb.  Same-src
            orders are assigned in the source node's execution order,
            which is engine-invariant. *)
+        let key = (p.dst_node, arrive) in
         let ord = t.send_ord in
         t.send_ord <- ord + 1;
         Sim.at t.sim ~shard:p.dst_node arrive (fun () ->
-            buffer_arrival t rx p ord)
+            match Hashtbl.find_opt t.arrivals key with
+            | Some b -> b := (p.src_node, ord, p, rx) :: !b
+            | None ->
+              let b : batch = ref [ (p.src_node, ord, p, rx) ] in
+              Hashtbl.add t.arrivals key b;
+              Sim.at t.sim ~tail:true arrive (fun () ->
+                  Hashtbl.remove t.arrivals key;
+                  List.sort
+                    (fun (sa, oa, _, _) (sb, ob, _, _) ->
+                      compare (sa, oa) (sb, ob))
+                    !b
+                  |> List.iter (fun (_, _, p, rx) -> deliver t rx p)))
       end
     end
     else begin
@@ -469,14 +305,13 @@ let send_at t ~time (p : Wire.packet) =
         match t.faults with
         | None ->
           ( time,
-            Route.Memo.route ~shard:(Sim.exec_shard t.sim) t.routes
-              ~src:p.src_node ~dst:p.dst_node ~dst_ctx:p.dst_ctx )
+            Route.Memo.route t.routes ~src:p.src_node ~dst:p.dst_node
+              ~dst_ctx:p.dst_ctx )
         | Some lf ->
-          let shard = Sim.exec_shard t.sim in
           let rec resolve e egress =
             let down hop = Linkfault.down_in_epoch lf ~epoch:e hop in
             match
-              Route.Memo.route_epoch ~shard t.routes ~epoch:e ~down
+              Route.Memo.route_epoch t.routes ~epoch:e ~down
                 ~src:p.src_node ~dst:p.dst_node ~dst_ctx:p.dst_ctx
             with
             | hops, rerouted -> (egress, hops, rerouted)
@@ -499,23 +334,7 @@ let send_at t ~time (p : Wire.packet) =
           end;
           (egress, hops)
       in
-      if not t.ordered then
-        Sim.at t.sim egress (fun () -> hop_walk t rx p hops)
-      else begin
-        (* Decomposed walk: schedule the first hop's arbitration step
-           at [(egress +. link_latency) +. switch_latency] — the exact
-           instant [hop_walk] would reach it — on the link owner's
-           shard.  The gap is at least a full link latency, so this is
-           a legal cross-shard distance from any (host) shard. *)
-        let sm = Option.get t.shardmap in
-        let first = List.hd hops in
-        let ord = t.send_ord in
-        t.send_ord <- ord + 1;
-        let c = Costs.current () in
-        let step = (egress +. c.Costs.link_latency) +. c.Costs.switch_latency in
-        Sim.at t.sim ~shard:(Shardmap.owner sm first) step (fun () ->
-            hop_step t p rx ord hops)
-      end
+      Sim.at t.sim egress (fun () -> hop_walk t rx p hops)
     end
 
 let send t p = send_at t ~time:(Sim.now t.sim) p
@@ -531,8 +350,7 @@ let route_quiet t ~src ~dst ~dst_ctx =
          match Hashtbl.find_opt t.links hop with
          | None -> true (* never instantiated: nothing ever crossed it *)
          | Some l -> Link.idle l)
-       (Route.Memo.route ~shard:(Sim.exec_shard t.sim) t.routes ~src ~dst
-          ~dst_ctx)
+       (Route.Memo.route t.routes ~src ~dst ~dst_ctx)
 
 let packets_delivered t = t.packets
 
@@ -549,8 +367,7 @@ let path_reachable t ~src ~dst ~dst_ctx =
     (let e = Linkfault.epoch_at lf ~time:(Sim.now t.sim) in
      let down hop = Linkfault.down_in_epoch lf ~epoch:e hop in
      match
-       Route.Memo.route_epoch ~shard:(Sim.exec_shard t.sim) t.routes ~epoch:e
-         ~down ~src ~dst ~dst_ctx
+       Route.Memo.route_epoch t.routes ~epoch:e ~down ~src ~dst ~dst_ctx
      with
      | _ -> true
      | exception Route.Fabric_unreachable _ -> false)

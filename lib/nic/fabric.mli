@@ -36,19 +36,9 @@ type t
     exactly like the unordered path.  The calibrated default stays
     [false] so every published figure keeps its historical tie-break;
     {!Pico_harness.Cluster} (not this module) forces it on for sharded
-    clusters.
-
-    On a non-flat topology, [ordered] additionally selects the
-    {e decomposed} store-and-forward walk: the same hop sequence and
-    float arithmetic as the legacy per-packet walk, cut into per-shard
-    events (each link has a {!Pico_fabric.Shardmap} owner shard;
-    same-instant arrivals at one hop batch and flush in content order;
-    the next hop is scheduled from the link's grant instant) so sharded
-    engines can run congested topologies — and shard-on/off results
-    stay bit-identical.  Sizing (route memo slots, link ownership) is
-    taken from [sim]'s shard count at creation, so any sharding must be
-    initialised first.
-    @raise Invalid_argument on an invalid topology *)
+    clusters.  Only flat topologies shard, so only they implement it.
+    @raise Invalid_argument on an invalid topology, or on [ordered] with
+    a non-flat one *)
 val create : ?topology:Topology.t -> ?ordered:bool -> Sim.t -> t
 
 val topology : t -> Topology.t
@@ -94,33 +84,16 @@ val route_quiet : t -> src:int -> dst:int -> dst_ctx:int -> bool
     mid-flight link contention. *)
 val set_train_abort : t -> node_id:int -> abort:(unit -> unit) -> unit
 
-(** [arm_train]/[disarm_train] tell the fabric that [node_id]'s HFI
-    currently holds (resp. no longer holds) a batched packet train.  On
-    the decomposed walk (ordered, non-flat) contention aborts cannot be
-    called synchronously — the hook would mutate another shard's HFI
-    from the link owner's shard — so the owner {e schedules} the
-    registered abort hook onto each armed node's shard one
-    [link_latency] later instead, deduplicated per (node, instant).
-    Aborting a train is always semantics-preserving (batched and
-    per-packet paths are bit-exact), so the latency relative to the
-    legacy synchronous call only moves which of two identical-result
-    paths runs.  No-ops on flat or unordered fabrics, where the legacy
-    synchronous [fire every hook] path is kept. *)
-val arm_train : t -> node_id:int -> unit
-
-val disarm_train : t -> node_id:int -> unit
-
 (** {2 Fabric fault domain}
 
     Installed by {!Pico_harness.Fault} when any fabric fault rate is
     nonzero; [None] (the default) is the immortal fabric and every hot
     path above pays a single option match for it.  Down windows park
-    packets — at the owning link under a fat-tree, at the per-node
-    ingress pseudo-link under [Flat], at egress when the whole pair is
-    partitioned — and never drop or re-own them ({!Pico_fabric.Shardmap}
-    ownership is never adaptive); corrupt-and-replay and derate windows
-    only ever add serialization time, so no sharding pair bound
-    tightens.  See DESIGN.md section 15. *)
+    packets — at the link under a fat-tree, at the per-node ingress
+    pseudo-link under [Flat], at egress when the whole pair is
+    partitioned — and never drop them; corrupt-and-replay and derate
+    windows only ever add serialization time.  See DESIGN.md section
+    14. *)
 
 val set_link_faults : t -> Linkfault.t option -> unit
 

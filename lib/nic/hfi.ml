@@ -214,8 +214,7 @@ let maybe_abort_train t =
      if gap then Resource.release t.wire;
      tr.tr_gen <- tr.tr_gen + 1;
      schedule_guard t tr tr.tr_gen (if gap then tr.tr_t1.(i) else tr.tr_t2.(i));
-     t.train <- None;
-     Fabric.disarm_train t.fabric ~node_id:t.node.Node.id);
+     t.train <- None);
   (* A PIO fragment train aborts by the same rewind rule.  Committed
      fragments (strictly before the boundary, plus the boundary itself
      when its wire occupancy already began) keep their pre-scheduled
@@ -242,8 +241,7 @@ let maybe_abort_train t =
     if gap then Resource.release t.wire;
     tr.pt_gen <- tr.pt_gen + 1;
     schedule_pguard t tr tr.pt_gen (if gap then tr.pt_t1.(i) else tr.pt_t2.(i));
-    t.ptrain <- None;
-    Fabric.disarm_train t.fabric ~node_id:t.node.Node.id
+    t.ptrain <- None
 
 let abort_train = maybe_abort_train
 
@@ -309,9 +307,6 @@ let sdma_batch t (tx : Sdma.tx) =
         tr_resume = None; tr_abort_i = -1; tr_abort_gap = false }
     in
     t.train <- Some tr;
-    (* Tell the fabric a train is live: the decomposed (sharded) walk
-       only schedules contention aborts to armed nodes. *)
-    Fabric.arm_train t.fabric ~node_id:t.node.Node.id;
     Sim.suspend t.sim (fun resume ->
         tr.tr_resume <- Some resume;
         schedule_guard t tr 0 t2.(n - 1));
@@ -323,7 +318,6 @@ let sdma_batch t (tx : Sdma.tx) =
          Resource.account t.wire ~waited:0. ~busy:(t2.(i) -. t1.(i))
        done;
        t.train <- None;
-       Fabric.disarm_train t.fabric ~node_id:t.node.Node.id;
        Resource.release t.wire;
        Sim.note_elided t.sim ((2 * n) - 2)
      | i ->
@@ -465,10 +459,9 @@ let slice_payload payload ~offset ~len =
    the per-packet path would have admitted into a CPU-store gap.  That
    keeps batched-vs-per-packet byte-identity even for workloads with
    concurrent senders per node, and makes the formation gate's
-   [Fabric.route_quiet] reading (transient link state, which the
-   decomposed sharded walk materialises on different sub-intervals)
-   results-neutral: whichever engine forms the train, contention aborts
-   it back onto the one shared path. *)
+   [Fabric.route_quiet] reading (transient link state) results-neutral:
+   whether or not the train forms, contention aborts it back onto the
+   one shared path. *)
 let pio_train t ~dst_node ~dst_ctx ~hdr ~len ?payload c =
   ignore (Resource.acquire t.wire);
   let n =
@@ -527,7 +520,6 @@ let pio_train t ~dst_node ~dst_ctx ~hdr ~len ?payload c =
       pt_abort_gap = false }
   in
   t.ptrain <- Some tr;
-  Fabric.arm_train t.fabric ~node_id:(node_id t);
   (* Each fragment's egress fires at its exact per-packet instant — the
      end of its wire occupancy — unless an abort rewound it first. *)
   for i = 0 to n - 1 do
@@ -546,7 +538,6 @@ let pio_train t ~dst_node ~dst_ctx ~hdr ~len ?payload c =
        Resource.account t.wire ~waited:0. ~busy:(t2.(i) -. t1.(i))
      done;
      t.ptrain <- None;
-     Fabric.disarm_train t.fabric ~node_id:(node_id t);
      Resource.release t.wire;
      Sim.note_elided t.sim (n - 1)
    | i ->
@@ -659,11 +650,6 @@ let read_requests t reqs =
 
 let sdma_submit t ~channel ~dst_node ~dst_ctx ~hdr ~reqs ~on_complete () =
   let total = List.fold_left (fun acc (r : Sdma.request) -> acc + r.len) 0 reqs in
-  (* Tracing off is the common case: don't pay List.length/Wire.describe
-     on the hot path unless the line will actually be emitted. *)
-  if Trace.enabled Trace.Debug then
-    Trace.debug t.sim "hfi" "sdma_submit ch=%d dst=%d/%d %d reqs %d B (%s)"
-      channel dst_node dst_ctx (List.length reqs) total (Wire.describe hdr);
   let tx_id = t.next_tx in
   t.next_tx <- tx_id + 1;
   let payload = if t.carry_payload then Some (read_requests t reqs) else None in

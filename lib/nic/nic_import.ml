@@ -6,7 +6,6 @@ module Mailbox = Pico_engine.Mailbox
 module Semaphore = Pico_engine.Semaphore
 module Resource = Pico_engine.Resource
 module Stats = Pico_engine.Stats
-module Trace = Pico_engine.Trace
 module Addr = Pico_hw.Addr
 module Node = Pico_hw.Node
 module Irq = Pico_hw.Irq
@@ -14,5 +13,4 @@ module Costs = Pico_costs.Costs
 module Topology = Pico_fabric.Topology
 module Route = Pico_fabric.Route
 module Link = Pico_fabric.Link
-module Shardmap = Pico_fabric.Shardmap
 module Linkfault = Pico_fabric.Linkfault

@@ -29,12 +29,3 @@ type packet = {
 }
 
 let header_bytes = 64
-
-let describe = function
-  | Eager e ->
-    Printf.sprintf "eager(tag=%Ld msg=%d off=%d len=%d/%d)" e.tag e.msg_id
-      e.offset e.frag_len e.msg_len
-  | Expected e ->
-    Printf.sprintf "expected(tid=%d msg=%d off=%d len=%d/%d)" e.tid_base
-      e.msg_id e.offset e.frag_len e.msg_len
-  | Ctrl _ -> "ctrl"

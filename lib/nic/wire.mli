@@ -42,5 +42,3 @@ type packet = {
 
 (** Protocol header bytes added to every fragment. *)
 val header_bytes : int
-
-val describe : header -> string

@@ -15,13 +15,10 @@
 # ledgers armed (--breakdown) and prints the per-event cost ratio; skip
 # with PICO_PERF_LEDGER=0.
 #
-# A second, informative wall-clock FOM comes from `picobench scale`: the
-# 64-256-node sweep on the sharded + fast-forwarded engine, whose whole
-# point is finishing in minutes.  Its host seconds are recorded next to
-# the throughput numbers (and refreshed into the baseline) but only warn,
-# never fail — the hard gate stays fig4's equiv_events_per_sec.  Skip it
-# with PICO_PERF_SCALE=0 (check.sh does: it just byte-checked the same
-# figure twice).
+# Informative wall-clock FOMs come from the faults, serve and scale
+# figures (below).  Their host seconds are recorded next to the
+# throughput numbers (and refreshed into the baseline) but only warn,
+# never fail — the hard gate stays fig4's equiv_events_per_sec.
 #
 # The baseline is host-specific (wall-clock!); refresh it on your machine
 # with:  scripts/perf.sh --update   (or PICO_PERF_UPDATE=1 scripts/perf.sh)
@@ -44,15 +41,20 @@ baseline="scripts/perf_baseline.json"
 
 dune build bin/picobench.exe 2>/dev/null || dune build bin/picobench.exe
 
-tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# json_key FILE KEY: print the number stored under KEY in a flat JSON
+# object (picobench reports, the baseline), or nothing.
+json_key() {
+  awk -F': ' -v key="\"$2\"" '$0 ~ key { gsub(/[ ,]/, "", $2); print $2 }' "$1"
+}
 
 PICO_JOBS="${PICO_JOBS:-1}" dune exec --no-build bin/picobench.exe -- \
-  "$fig" --json "$tmp" > /dev/null
+  "$fig" --json "$tmp/$fig.json" > /dev/null
 
 metric() {
-  awk -F': ' -v key="\"$1/engine/$2\"" \
-    '$0 ~ key { gsub(/[ ,]/, "", $2); print $2 }' "$tmp"
+  json_key "$tmp/$1.json" "$1/engine/$2"
 }
 
 events="$(metric "$fig" events)"
@@ -72,13 +74,9 @@ fi
 # what the bookkeeping costs in host time.  Skip with PICO_PERF_LEDGER=0.
 ledger_eeps=null
 if [ "${PICO_PERF_LEDGER:-1}" = "1" ]; then
-  ltmp="$(mktemp)"
-  lbd="$(mktemp)"
-  trap 'rm -f "$tmp" "$ltmp" "$lbd"' EXIT
   PICO_JOBS="${PICO_JOBS:-1}" dune exec --no-build bin/picobench.exe -- \
-    "$fig" --json "$ltmp" --breakdown "$lbd" > /dev/null
-  ledger_eeps="$(awk -F': ' -v key="\"$fig/engine/equiv_events_per_sec\"" \
-    '$0 ~ key { gsub(/[ ,]/, "", $2); print $2 }' "$ltmp")"
+    "$fig" --json "$tmp/ledger.json" --breakdown "$tmp/ledger.bd" > /dev/null
+  ledger_eeps="$(json_key "$tmp/ledger.json" "$fig/engine/equiv_events_per_sec")"
   if [ -z "$ledger_eeps" ]; then
     echo "perf.sh: no engine metrics in ledger-armed run" >&2
     exit 1
@@ -94,72 +92,52 @@ if [ "${PICO_PERF_LEDGER:-1}" = "1" ]; then
   }'
 fi
 
-# Armed-faults FOM (warn-only): the faults figure runs the injector over
-# every fault family — SDMA halts, IKC drops, and the fabric link-fault
-# degradation sweep — so its wall clock watches what fault bookkeeping
-# and the failover/retry machinery cost in host time.  Skip with
-# PICO_PERF_FAULTS=0 (check.sh does: it just byte-checked the figure
-# twice).
+# Warn-only wall-clock FOMs: whole-figure host seconds of three figures
+# that exercise layers fig4 does not.
+#   faults: the injector over every fault family — SDMA halts, IKC
+#     drops, and the fabric link-fault degradation sweep — so it watches
+#     what fault bookkeeping and the failover/retry machinery cost.
+#   serve: the identity probes plus the offered-load sweep — open-loop
+#     replay, admission queues, breaker bookkeeping and the nearest-rank
+#     quantile sort.
+#   scale: the 64-256-node sweep on the sharded + fast-forwarded engine,
+#     whose whole point is finishing in minutes; its unsharded
+#     oversubscribed fat-tree tail has its own sub-sweep timer
+#     (scale/engine/ft_host_seconds).
+# Skip each with PICO_PERF_FAULTS=0 / PICO_PERF_SERVE=0 / PICO_PERF_SCALE=0
+# (check.sh does: it just byte-checked these figures twice).
+
+# figure_key FIGURE KEY: print report key FIGURE/KEY from the JSON of a
+# `picobench FIGURE` run, failing loudly when it is missing.
+figure_key() {
+  v="$(json_key "$tmp/$1.json" "$1/$2")"
+  if [ -z "$v" ]; then
+    echo "perf.sh: no $1/$2 in picobench $1 JSON" >&2
+    exit 1
+  fi
+  echo "$v"
+}
+
+# figure_seconds FIGURE: run `picobench FIGURE` and print its host
+# seconds (the JSON report stays in $tmp for further keys).
+figure_seconds() {
+  dune exec --no-build bin/picobench.exe -- "$1" --json "$tmp/$1.json" > /dev/null
+  figure_key "$1" engine/host_seconds
+}
+
 faults_host=null
-if [ "${PICO_PERF_FAULTS:-1}" = "1" ]; then
-  fatmp="$(mktemp)"
-  trap 'rm -f "$tmp" "$fatmp"' EXIT
-  dune exec --no-build bin/picobench.exe -- faults --json "$fatmp" > /dev/null
-  faults_host="$(awk -F': ' '/"faults\/engine\/host_seconds"/ \
-    { gsub(/[ ,]/, "", $2); print $2 }' "$fatmp")"
-  if [ -z "$faults_host" ]; then
-    echo "perf.sh: no faults/engine/host_seconds in picobench faults JSON" >&2
-    exit 1
-  fi
-  printf 'perf.sh: faults: armed-injector figure in %ss host wall-clock\n' \
-    "$faults_host"
-fi
-
-# Serve-figure FOM (warn-only): the service workload runs the identity
-# probes plus the offered-load sweep — open-loop replay, admission
-# queues, breaker bookkeeping and the nearest-rank quantile sort — so
-# its wall clock watches what the serve layer costs in host time.  Skip
-# with PICO_PERF_SERVE=0 (check.sh does: it just byte-checked the
-# figure twice).
 serve_host=null
-if [ "${PICO_PERF_SERVE:-1}" = "1" ]; then
-  vtmp="$(mktemp)"
-  trap 'rm -f "$tmp" "$vtmp"' EXIT
-  dune exec --no-build bin/picobench.exe -- serve --json "$vtmp" > /dev/null
-  serve_host="$(awk -F': ' '/"serve\/engine\/host_seconds"/ \
-    { gsub(/[ ,]/, "", $2); print $2 }' "$vtmp")"
-  if [ -z "$serve_host" ]; then
-    echo "perf.sh: no serve/engine/host_seconds in picobench serve JSON" >&2
-    exit 1
-  fi
-  printf 'perf.sh: serve: service-workload figure in %ss host wall-clock\n' \
-    "$serve_host"
-fi
-
 scale_host=null
 ft_host=null
+if [ "${PICO_PERF_FAULTS:-1}" = "1" ]; then
+  faults_host="$(figure_seconds faults)"
+fi
+if [ "${PICO_PERF_SERVE:-1}" = "1" ]; then
+  serve_host="$(figure_seconds serve)"
+fi
 if [ "${PICO_PERF_SCALE:-1}" = "1" ]; then
-  stmp="$(mktemp)"
-  trap 'rm -f "$tmp" "$stmp"' EXIT
-  dune exec --no-build bin/picobench.exe -- scale --json "$stmp" > /dev/null
-  scale_host="$(awk -F': ' '/"scale\/engine\/host_seconds"/ \
-    { gsub(/[ ,]/, "", $2); print $2 }' "$stmp")"
-  if [ -z "$scale_host" ]; then
-    echo "perf.sh: no scale/engine/host_seconds in picobench scale JSON" >&2
-    exit 1
-  fi
-  printf 'perf.sh: scale: 64-256-node sweep in %ss host wall-clock\n' \
-    "$scale_host"
-  # The oversubscribed fat-tree tail (sharded congested topologies) has
-  # its own sub-sweep timer; warn-only, like the whole-figure number.
-  ft_host="$(awk -F': ' '/"scale\/engine\/ft_host_seconds"/ \
-    { gsub(/[ ,]/, "", $2); print $2 }' "$stmp")"
-  if [ -z "$ft_host" ]; then
-    echo "perf.sh: no scale/engine/ft_host_seconds in picobench scale JSON" >&2
-    exit 1
-  fi
-  printf 'perf.sh: scale: fat-tree oversubscribed tail in %ss host wall-clock\n' \
-    "$ft_host"
+  scale_host="$(figure_seconds scale)"
+  ft_host="$(figure_key scale engine/ft_host_seconds)"
 fi
 
 cat > "$out" <<EOF
@@ -193,7 +171,7 @@ if [ ! -f "$baseline" ]; then
   exit 0
 fi
 
-base_eeps="$(awk -F': ' '/"equiv_events_per_sec"/ { gsub(/[ ,]/,"",$2); print $2 }' "$baseline")"
+base_eeps="$(json_key "$baseline" equiv_events_per_sec)"
 base_fig="$(awk -F': ' '/"figure"/ { gsub(/[ ",]/,"",$2); print $2 }' "$baseline")"
 
 if [ "$base_fig" != "$fig" ]; then
@@ -211,58 +189,25 @@ awk -v now="$eeps" -v base="$base_eeps" 'BEGIN {
   }
 }'
 
-# The at-scale sweep's wall clock warns only: it mixes engine throughput
-# with pool scheduling and machine load, so it is a trend indicator.
-base_scale="$(awk -F': ' '/"scale_host_seconds"/ && !/ft_scale/ { gsub(/[ ,]/,"",$2); print $2 }' "$baseline")"
-if [ "$scale_host" != null ] && [ -n "$base_scale" ] && [ "$base_scale" != null ]; then
-  awk -v now="$scale_host" -v base="$base_scale" 'BEGIN {
-    ratio = now / base;
-    printf "perf.sh: scale sweep %.2fx of baseline wall clock (%.3gs vs %.3gs)\n",
-      ratio, now, base;
-    if (ratio > 1.5)
-      print "perf.sh: WARN: at-scale sweep >1.5x slower than baseline" > "/dev/stderr";
-  }'
-fi
+# The wall-clock FOMs warn only: they mix engine throughput with pool
+# scheduling, host-side aggregation and machine load, so they are trend
+# indicators.  warn LABEL NOW BASELINE-KEY
+warn() {
+  base="$(json_key "$baseline" "$3")"
+  if [ "$2" != null ] && [ -n "$base" ] && [ "$base" != null ]; then
+    awk -v label="$1" -v now="$2" -v base="$base" 'BEGIN {
+      ratio = now / base;
+      printf "perf.sh: %s %.2fx of baseline wall clock (%.3gs vs %.3gs)\n",
+        label, ratio, now, base;
+      if (ratio > 1.5)
+        printf "perf.sh: WARN: %s >1.5x slower than baseline\n", label > "/dev/stderr";
+    }'
+  fi
+}
 
-# The armed-faults figure warns only too: injector bookkeeping is pure
-# host-side work, so a sustained slowdown here means a fault path grew
-# cost it should not have.
-base_faults="$(awk -F': ' '/"faults_host_seconds"/ { gsub(/[ ,]/,"",$2); print $2 }' "$baseline")"
-if [ "$faults_host" != null ] && [ -n "$base_faults" ] && [ "$base_faults" != null ]; then
-  awk -v now="$faults_host" -v base="$base_faults" 'BEGIN {
-    ratio = now / base;
-    printf "perf.sh: armed faults %.2fx of baseline wall clock (%.3gs vs %.3gs)\n",
-      ratio, now, base;
-    if (ratio > 1.5)
-      print "perf.sh: WARN: armed-faults figure >1.5x slower than baseline" > "/dev/stderr";
-  }'
-fi
-
-# The serve figure warns only as well: it mixes simulation throughput
-# with host-side aggregation (quantile sorts, fingerprint compares), so
-# its wall clock is a trend indicator for the service-workload path.
-base_serve="$(awk -F': ' '/"serve_host_seconds"/ { gsub(/[ ,]/,"",$2); print $2 }' "$baseline")"
-if [ "$serve_host" != null ] && [ -n "$base_serve" ] && [ "$base_serve" != null ]; then
-  awk -v now="$serve_host" -v base="$base_serve" 'BEGIN {
-    ratio = now / base;
-    printf "perf.sh: serve figure %.2fx of baseline wall clock (%.3gs vs %.3gs)\n",
-      ratio, now, base;
-    if (ratio > 1.5)
-      print "perf.sh: WARN: serve figure >1.5x slower than baseline" > "/dev/stderr";
-  }'
-fi
-
-# Same treatment for the fat-tree oversubscribed tail (the congested
-# sharded-topology sweep this FOM exists to watch).
-base_ft="$(awk -F': ' '/"ft_scale_host_seconds"/ { gsub(/[ ,]/,"",$2); print $2 }' "$baseline")"
-if [ "$ft_host" != null ] && [ -n "$base_ft" ] && [ "$base_ft" != null ]; then
-  awk -v now="$ft_host" -v base="$base_ft" 'BEGIN {
-    ratio = now / base;
-    printf "perf.sh: fat-tree tail %.2fx of baseline wall clock (%.3gs vs %.3gs)\n",
-      ratio, now, base;
-    if (ratio > 1.5)
-      print "perf.sh: WARN: fat-tree tail >1.5x slower than baseline" > "/dev/stderr";
-  }'
-fi
+warn "scale sweep" "$scale_host" scale_host_seconds
+warn "armed faults" "$faults_host" faults_host_seconds
+warn "serve figure" "$serve_host" serve_host_seconds
+warn "fat-tree tail" "$ft_host" ft_scale_host_seconds
 
 echo "perf.sh: OK"

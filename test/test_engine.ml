@@ -539,17 +539,6 @@ let test_registry () =
   Stats.Registry.merge_into ~dst ~src:r;
   check_float "merged" 60. (Stats.Registry.time_of dst "writev")
 
-let test_trace_levels () =
-  Alcotest.(check bool) "info" true (Trace.level_of_string "info" = Trace.Info);
-  Alcotest.(check bool) "debug" true
-    (Trace.level_of_string "DEBUG" = Trace.Debug);
-  Alcotest.(check bool) "unknown off" true
-    (Trace.level_of_string "bogus" = Trace.Off);
-  let saved = Trace.level () in
-  Trace.set_level Trace.Debug;
-  Alcotest.(check bool) "set" true (Trace.level () = Trace.Debug);
-  Trace.set_level saved
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -600,7 +589,6 @@ let () =
          qc prop_rng_int_range;
          Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
          Alcotest.test_case "normal mean" `Quick test_rng_normal_mean ]);
-      ("trace", [ Alcotest.test_case "levels" `Quick test_trace_levels ]);
       ("stats",
        [ Alcotest.test_case "summary" `Quick test_summary_known;
          Alcotest.test_case "merge" `Quick test_summary_merge;

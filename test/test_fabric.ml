@@ -127,7 +127,7 @@ let test_flow_hash_spreads () =
   Alcotest.(check bool) "flows spread over more than one spine" true
     (List.length spines > 1)
 
-(* --- Failover routing (DESIGN.md section 15) -------------------------------- *)
+(* --- Failover routing (DESIGN.md section 14) -------------------------------- *)
 
 let no_down _ = false
 
@@ -290,6 +290,22 @@ let test_fat_tree_attach_errors () =
   Fabric.detach f ~node_id:3;
   Alcotest.(check (list int)) "detached" [ 0 ] (Fabric.attached f)
 
+(* Ordered arrivals exist for the sharded engine, and only flat worlds
+   shard: asking for them on a fat-tree is a build-time error, and so is
+   a cluster built that way. *)
+let test_ordered_needs_flat () =
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "ordered fat-tree fabric raises" true
+    (raises (fun () ->
+         Fabric.create ~topology:(ft ~radix:2 ~oversub:1) ~ordered:true
+           (Sim.create ())));
+  Alcotest.(check bool) "ordered fat-tree cluster raises" true
+    (raises (fun () ->
+         Pico_harness.Cluster.build Pico_harness.Cluster.Linux ~n_nodes:2
+           ~topology:(ft ~radix:2 ~oversub:1) ~ordered_arrivals:true ()));
+  Alcotest.(check bool) "ordered flat fabric is fine" false
+    (raises (fun () -> Fabric.create ~ordered:true (Sim.create ())))
+
 let test_fat_tree_in_order_per_flow () =
   let sim = Sim.create () in
   let f = Fabric.create ~topology:(ft ~radix:2 ~oversub:1) sim in
@@ -415,6 +431,7 @@ let () =
       ("delivery",
        [ Alcotest.test_case "arrival times" `Quick test_fat_tree_arrival_times;
          Alcotest.test_case "attach errors" `Quick test_fat_tree_attach_errors;
+         Alcotest.test_case "ordered needs flat" `Quick test_ordered_needs_flat;
          Alcotest.test_case "in order per flow" `Quick
            test_fat_tree_in_order_per_flow;
          Alcotest.test_case "contention counters" `Quick

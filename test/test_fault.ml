@@ -119,7 +119,7 @@ let test_plan_zero_rates () =
     (fun () ->
       Alcotest.(check bool) "no horizon -> not armed" false (Fault.armed ()))
 
-(* --- fabric link-fault streams (DESIGN.md section 15) ----------------------- *)
+(* --- fabric link-fault streams (DESIGN.md section 14) ----------------------- *)
 
 module Linkfault = Pico_fabric.Linkfault
 module Topology = Pico_fabric.Topology

@@ -184,6 +184,23 @@ let test_experiment_failure_propagates () =
        false
      with Failure _ -> true)
 
+(* A rank that blocks forever (here on a mailbox nothing fills) must fail
+   the run by name instead of reporting a 0 ns FOM. *)
+let test_experiment_hung_rank () =
+  let cl = Cluster.build Cluster.Linux ~n_nodes:1 () in
+  let never : unit Pico_engine.Mailbox.t =
+    Pico_engine.Mailbox.create cl.Cluster.sim
+  in
+  match
+    Experiment.run cl ~ranks_per_node:2 (fun comm ->
+        if comm.Comm.rank = 1 then Pico_engine.Mailbox.get never;
+        1.)
+  with
+  | _ -> Alcotest.fail "a hung rank must fail the run"
+  | exception Failure msg ->
+    Alcotest.(check string) "names the world and the hung rank"
+      "Experiment.run: Linux/1n: rank(s) 1 did not finish" msg
+
 let test_experiment_profiles_merged () =
   let cl = Cluster.build Cluster.Linux ~n_nodes:1 () in
   let res =
@@ -218,5 +235,7 @@ let () =
          Alcotest.test_case "rank placement" `Quick test_experiment_rank_placement;
          Alcotest.test_case "failure propagates" `Quick
            test_experiment_failure_propagates;
+         Alcotest.test_case "hung rank fails loudly" `Quick
+           test_experiment_hung_rank;
          Alcotest.test_case "profiles merged" `Quick
            test_experiment_profiles_merged ]) ]

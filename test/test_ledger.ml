@@ -97,8 +97,10 @@ let test_close_idempotent () =
 (* One small McKernel+HFI1 experiment with a large message: offloaded
    syscalls, PIO and SDMA sends, PSM rendezvous and MPI calls all leave
    ledgers.  [Experiment.run] drains them into [Breakdown]. *)
-let run_world ?(sharding = false) () =
-  let cl = Cluster.build Cluster.Mckernel_hfi ~n_nodes:2 ~sharding () in
+let run_world ?(sharding = false) ?(ordered_arrivals = false) () =
+  let cl =
+    Cluster.build Cluster.Mckernel_hfi ~n_nodes:2 ~sharding ~ordered_arrivals ()
+  in
   let res =
     Experiment.run cl ~ranks_per_node:1 (fun comm ->
         let os = Pico_psm.Endpoint.os comm.Pico_mpi.Comm.ep in
@@ -190,12 +192,9 @@ let test_shard_identity () =
      run records is identical to the unsharded run's (under the shared
      ordered arrival tie-break). *)
   with_ledgers true @@ fun () ->
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
-  @@ fun () ->
   let shot sharding =
     ignore (Breakdown.take_ledgers ());
-    let fom = run_world ~sharding () in
+    let fom = run_world ~sharding ~ordered_arrivals:true () in
     (Breakdown.take_fingerprint (), fom)
   in
   let lg_off, fom_off = shot false in

@@ -916,150 +916,6 @@ let test_batching_midtrain_link_park () =
   Alcotest.(check int) "park: bytes" pp.o_bytes b.o_bytes;
   Alcotest.(check int) "park: served" pp.o_served b.o_served
 
-(* --- Cross-shard mid-train contention abort ---------------------------------
-
-   The same four-node radix-2 contention shape, but on a *sharded*
-   engine (one shard per node, Shardmap link owners, the hop-floor
-   lookahead): node 0's batched SDMA train must be aborted by link
-   contention that is detected on another shard — the link owner
-   schedules the abort hook onto node 0's shard one link_latency later —
-   and every simulation result must stay bit-identical to the unsharded
-   ordered run at every stagger, batched or per-packet. *)
-
-let run_ft_ordered_scenario ~sharded ~batching f =
-  Hfi.batching := batching;
-  Fun.protect
-    ~finally:(fun () -> Hfi.batching := true)
-    (fun () ->
-      let sim = Sim.create () in
-      let topo = Pico_fabric.Topology.Fat_tree { radix = 2; oversub = 1 } in
-      if sharded then begin
-        let c = Costs.current () in
-        let sm = Pico_fabric.Shardmap.create topo ~shards:4 in
-        let hop_floor =
-          c.Costs.switch_latency
-          +. (float_of_int c.Costs.packet_overhead_bytes
-              /. c.Costs.link_bandwidth)
-        in
-        Sim.shard_init sim ~shards:4
-          ~pair_bound:
-            (Pico_fabric.Shardmap.pair_bound sm
-               ~link_latency:c.Costs.link_latency ~hop_floor)
-          ~lookahead:
-            (Pico_fabric.Shardmap.lookahead sm
-               ~link_latency:c.Costs.link_latency ~hop_floor)
-          ()
-      end;
-      let fab = Fabric.create ~topology:topo ~ordered:true sim in
-      let nodes =
-        Array.init 4 (fun id ->
-            Sim.with_shard sim id (fun () ->
-                Node.create_knl sim ~id ~mem_scale:0.001 ()))
-      in
-      let hfis =
-        Array.mapi
-          (fun id node ->
-            Sim.with_shard sim id (fun () ->
-                Hfi.create sim ~node ~fabric:fab ~carry_payload:false ()))
-          nodes
-      in
-      let ctxs =
-        Array.mapi
-          (fun id h ->
-            Sim.with_shard sim id (fun () -> Hfi.ctx_id (Hfi.open_context h)))
-          hfis
-      in
-      let complete = ref 0. in
-      let pio_done = ref 0. in
-      Sim.spawn sim ~shard:0 (fun () -> Sim.shard_engage sim);
-      f sim hfis nodes ctxs complete pio_done;
-      ignore (Sim.run sim);
-      Array.iter (fun h -> ignore (Hfi.drain_completions h)) hfis;
-      let host_contended =
-        List.fold_left
-          (fun acc s ->
-            if s.Fabric.ts_tier = "host" then acc + s.Fabric.ts_contended
-            else acc)
-          0 (Fabric.tier_stats fab)
-      in
-      ( { o_end = Sim.now sim;
-          o_complete = !complete;
-          o_pio_done = !pio_done;
-          o_packets = Fabric.packets_delivered fab;
-          o_bytes = Fabric.bytes_delivered fab;
-          o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
-          o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
-          o_elided = Sim.events_elided sim },
-        Hfi.train_aborts hfis.(0),
-        host_contended,
-        Sim.barrier_rounds sim ))
-
-(* The shard pins are ignored on the unsharded comparator run, so one
-   scenario body serves both engines. *)
-let ft_sharded_contention_scenario ~d lens sim hfis nodes ctxs complete
-    pio_done =
-  let spa = Option.get (Node.alloc_frames nodes.(0) 4) in
-  let reqs = List.map (fun len -> { Sdma.pa = spa; len }) lens in
-  let total = List.fold_left ( + ) 0 lens in
-  Sim.spawn sim ~shard:0 (fun () ->
-      Hfi.sdma_submit hfis.(0) ~channel:0 ~dst_node:1 ~dst_ctx:ctxs.(1)
-        ~hdr:(eager_hdr total) ~reqs
-        ~on_complete:(fun () -> complete := Sim.now sim)
-        ());
-  Sim.spawn sim ~shard:1 (fun () ->
-      Hfi.pio_send hfis.(1) ~dst_node:3 ~dst_ctx:ctxs.(3)
-        ~hdr:(eager_hdr 4096) ~len:4096 ());
-  Sim.spawn sim ~shard:2 (fun () ->
-      Sim.delay sim d;
-      Hfi.pio_send hfis.(2) ~dst_node:3 ~dst_ctx:ctxs.(3)
-        ~hdr:(eager_hdr 4096) ~len:4096 ();
-      pio_done := Sim.now sim)
-
-let check_shard_equiv name (a : outcome) (b : outcome) =
-  (* o_elided is engine-internal and excluded: the decomposed sharded
-     walk may elide a slightly different event count. *)
-  let exact = Alcotest.(check (float 0.)) in
-  exact (name ^ ": end time") a.o_end b.o_end;
-  exact (name ^ ": completion") a.o_complete b.o_complete;
-  exact (name ^ ": pio done") a.o_pio_done b.o_pio_done;
-  exact (name ^ ": wire busy") a.o_busy b.o_busy;
-  Alcotest.(check int) (name ^ ": packets") a.o_packets b.o_packets;
-  Alcotest.(check int) (name ^ ": bytes") a.o_bytes b.o_bytes;
-  Alcotest.(check int) (name ^ ": served") a.o_served b.o_served
-
-let test_sharded_fat_tree_contention_abort () =
-  (* A longer train than the legacy sweep's: the decomposed abort is
-     scheduled one link_latency after the contention instant, so the
-     train must still be in flight a full link latency past the last
-     contended stagger. *)
-  let lens = List.init 10 (fun _ -> 8192) in
-  let max_aborts = ref 0 and max_contended = ref 0 and max_rounds = ref 0 in
-  for i = 0 to 20 do
-    let d = float_of_int i *. 250. in
-    let scenario = ft_sharded_contention_scenario ~d lens in
-    let base, _, _, _ =
-      run_ft_ordered_scenario ~sharded:false ~batching:true scenario
-    in
-    let on, aborts, contended, rounds =
-      run_ft_ordered_scenario ~sharded:true ~batching:true scenario
-    in
-    check_shard_equiv (Printf.sprintf "sharded ft d=%.0fns" d) base on;
-    let pp, _, _, _ =
-      run_ft_ordered_scenario ~sharded:true ~batching:false scenario
-    in
-    check_shard_equiv
-      (Printf.sprintf "sharded ft per-packet d=%.0fns" d)
-      base pp;
-    max_aborts := max !max_aborts aborts;
-    max_contended := max !max_contended contended;
-    max_rounds := max !max_rounds rounds
-  done;
-  Alcotest.(check bool) "epoch rounds actually ran" true (!max_rounds > 0);
-  Alcotest.(check bool) "some stagger contends the host link" true
-    (!max_contended > 0);
-  Alcotest.(check bool) "cross-shard contention aborted the train" true
-    (!max_aborts > 0)
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "nic"
@@ -1116,6 +972,4 @@ let () =
          Alcotest.test_case "fat-tree contention aborts train" `Quick
            test_batching_fat_tree_contention_abort;
          Alcotest.test_case "mid-train link park aborts train" `Quick
-           test_batching_midtrain_link_park;
-         Alcotest.test_case "sharded fat-tree contention abort" `Quick
-           test_sharded_fat_tree_contention_abort ]) ]
+           test_batching_midtrain_link_park ]) ]

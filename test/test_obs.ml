@@ -1,10 +1,9 @@
-(* Observability tests: Trace level parsing and guards, the Span API's
-   edge cases, Histogram.merge and Registry ordering laws, and the
-   determinism of the span-trace / per-subsystem metric collectors. *)
+(* Observability tests: the Span API's edge cases, Histogram.merge and
+   Registry ordering laws, and the determinism of the span-trace /
+   per-subsystem metric collectors. *)
 
 module Sim = Pico_engine.Sim
 module Span = Pico_engine.Span
-module Trace = Pico_engine.Trace
 module Stats = Pico_engine.Stats
 module H = Pico_harness
 module Cluster = H.Cluster
@@ -16,35 +15,6 @@ module Collectives = Pico_mpi.Collectives
 module Costs = Pico_costs.Costs
 
 let () = Costs.reset ()
-
-(* --- Trace levels ------------------------------------------------------- *)
-
-let test_level_of_string () =
-  let check name want s =
-    Alcotest.(check bool) name true (Trace.level_of_string s = want)
-  in
-  check "info" Trace.Info "info";
-  check "INFO" Trace.Info "INFO";
-  check "debug" Trace.Debug "debug";
-  check "DEBUG" Trace.Debug "DEBUG";
-  check "off" Trace.Off "off";
-  check "unknown maps to off" Trace.Off "verbose";
-  check "empty maps to off" Trace.Off ""
-
-let test_enabled_guard () =
-  let saved = Trace.level () in
-  Fun.protect
-    ~finally:(fun () -> Trace.set_level saved)
-    (fun () ->
-      Trace.set_level Trace.Off;
-      Alcotest.(check bool) "off: info" false (Trace.enabled Trace.Info);
-      Alcotest.(check bool) "off: debug" false (Trace.enabled Trace.Debug);
-      Trace.set_level Trace.Info;
-      Alcotest.(check bool) "info: info" true (Trace.enabled Trace.Info);
-      Alcotest.(check bool) "info: debug" false (Trace.enabled Trace.Debug);
-      Trace.set_level Trace.Debug;
-      Alcotest.(check bool) "debug: info" true (Trace.enabled Trace.Info);
-      Alcotest.(check bool) "debug: debug" true (Trace.enabled Trace.Debug))
 
 (* --- Span API ----------------------------------------------------------- *)
 
@@ -370,7 +340,9 @@ let test_ratio_degenerate () =
    both must come out 0 through Subsys_obs.ratio, never NaN/inf. *)
 let test_serve_ratios_degenerate () =
   let open H.Figures in
-  let _cl, res, out = serve_world Cluster.Mckernel_hfi ~n_nodes:2 in
+  let res, out =
+    serve_world (Cluster.build Cluster.Mckernel_hfi ~n_nodes:2 ())
+  in
   let sv = serve_aggregate res out in
   let ck name v =
     Alcotest.(check bool) (name ^ " finite") true (Float.is_finite v);
@@ -386,10 +358,7 @@ let test_serve_ratios_degenerate () =
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
-    [ ("trace",
-       [ Alcotest.test_case "level_of_string" `Quick test_level_of_string;
-         Alcotest.test_case "enabled guard" `Quick test_enabled_guard ]);
-      ("span",
+    [ ("span",
        [ Alcotest.test_case "disabled is null" `Quick test_span_disabled_is_null;
          Alcotest.test_case "nested" `Quick test_span_nested;
          Alcotest.test_case "end edge cases" `Quick test_span_end_edge_cases;

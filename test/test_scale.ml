@@ -1,9 +1,10 @@
 (* Tests for the sharded engine and steady-state fast-forward: byte
    identity of simulation results across shard-on/off and
-   fast-forward-on/off (including with fault injection armed, and on
-   fat-tree topologies where links have Shardmap owner shards), the
+   fast-forward-on/off on flat worlds (including with fault injection
+   armed) and across fast-forward-on/off on unsharded fat-trees, the
    mid-run halt case proving fast-forward falls back to per-event
-   processing, Route memoization, and the shard counter plumbing. *)
+   processing, Route memoization, and the shard counter plumbing
+   (including refused requests). *)
 
 module Sim = Pico_engine.Sim
 module Rng = Pico_engine.Rng
@@ -89,8 +90,8 @@ let fingerprint (cl : Cluster.t) (res : Experiment.result) =
   i (Fabric.packets_delivered cl.Cluster.fabric);
   i (Fabric.bytes_delivered cl.Cluster.fabric);
   (* Per-tier link counters: empty under Flat, and under Fat_tree the
-     part of the simulation the decomposed sharded hop walk could
-     plausibly skew (per-link FCFS grants, queue depths, contention). *)
+     part of the simulation train formation could plausibly skew
+     (per-link FCFS grants, queue depths, contention). *)
   List.iter
     (fun (ts : Fabric.tier_stats) ->
       Buffer.add_string b (ts.Fabric.ts_tier ^ ";");
@@ -161,18 +162,15 @@ let run_probe ?(app = app) ?(topology = Topology.Flat) ?(linkfaults = false)
     ~kind ~n_nodes ~rpn ~seed ~faults ~shard ~ff () =
   with_faults ~links:linkfaults faults @@ fun () ->
   Sim.fast_forward := ff;
+  Fun.protect ~finally:(fun () -> Sim.fast_forward := false) @@ fun () ->
   (* Identity across shard-on/off only holds between runs sharing the
-     same same-instant arrival tie-break, so the unsharded comparator
-     opts into the content order that sharded builds force on.  On a
-     fat-tree that also selects the decomposed hop walk for both runs
-     (same code path sharded or not — only the event partitioning
-     differs). *)
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () ->
-      Sim.fast_forward := false;
-      Cluster.ordered_arrivals := false)
-  @@ fun () ->
-  let cl = Cluster.build kind ~n_nodes ~topology ~sharding:shard ~seed () in
+     same same-instant arrival tie-break, so the unsharded flat
+     comparator opts into the content order that sharded builds force
+     on.  Fat-trees never shard and keep the default order. *)
+  let cl =
+    Cluster.build kind ~n_nodes ~topology ~sharding:shard
+      ~ordered_arrivals:(Topology.is_flat topology) ~seed ()
+  in
   Fault.install cl;
   let res = Experiment.run cl ~ranks_per_node:rpn app in
   let sum g =
@@ -221,15 +219,16 @@ let prop_switch_identity =
           && (ff || p.elided = base.elided))
         [ (true, false); (false, true); (true, true) ])
 
-(* The same law over congested fat-tree fabrics: links have Shardmap
-   owner shards, the hop walk is decomposed into per-shard events, and
-   cross-shard contention aborts are scheduled rather than called — all
-   of which must leave every simulation result (FOMs, packet/byte
-   counts, per-node HFI/SDMA counters, per-tier link counters) bit
-   identical to the unsharded run. *)
+(* The fast-forward half of the law over congested fat-tree fabrics,
+   which never shard: the relaxed SDMA gate forms trains that link
+   contention (and, with link faults, down windows) must abort, and
+   every simulation result (FOMs, packet/byte counts, per-node HFI/SDMA
+   counters, per-tier link counters) must stay bit identical to the
+   per-event run. *)
 let prop_ft_identity =
   QCheck2.Test.make
-    ~name:"fat-tree shard on/off: identical simulation results" ~count:8
+    ~name:"fat-tree fast-forward on/off: identical simulation results"
+    ~count:8
     ~print:(fun (k, n, r, s, (f, lf, radix, oversub)) ->
       Printf.sprintf
         "kind=%d n_nodes=%d rpn=%d seed=%d faults=%b linkfaults=%b radix=%d \
@@ -242,42 +241,29 @@ let prop_ft_identity =
       let kind = kinds.(kind_i) in
       let seed = Int64.of_int seed in
       let topology = Topology.Fat_tree { radix; oversub } in
-      let base =
+      let run ~ff =
         run_probe ~topology ~linkfaults ~kind ~n_nodes ~rpn ~seed ~faults
-          ~shard:false ~ff:false ()
+          ~shard:false ~ff ()
       in
-      List.for_all
-        (fun (shard, ff) ->
-          let p =
-            run_probe ~topology ~linkfaults ~kind ~n_nodes ~rpn ~seed ~faults
-              ~shard ~ff ()
-          in
-          p.fp = base.fp)
-        [ (true, false); (true, true) ])
+      (run ~ff:true).fp = (run ~ff:false).fp)
 
 (* The link-fault half of the law, pinned non-vacuously: a seed/rate
    point where the base run demonstrably parks packets on down links and
-   re-routes around them, then shard-on (and shard-on + fast-forward)
-   must reproduce every result — including the fault counters — bit for
-   bit. *)
+   re-routes around them, then fast-forward must reproduce every result
+   — including the fault counters — bit for bit. *)
 let test_ft_linkfault_identity () =
   let kind = Cluster.Mckernel_hfi and n_nodes = 5 and rpn = 2
   and seed = 0x5EEDL in
   let topology = Topology.Fat_tree { radix = 2; oversub = 1 } in
-  let run ~shard ~ff =
+  let run ~ff =
     run_probe ~app:xchg_app ~topology ~linkfaults:true ~kind ~n_nodes ~rpn
-      ~seed ~faults:false ~shard ~ff ()
+      ~seed ~faults:false ~shard:false ~ff ()
   in
-  let base = run ~shard:false ~ff:false in
+  let base = run ~ff:false in
   Alcotest.(check bool) "link faults actually bit (parks or reroutes)" true
     (base.linkhits > 0);
-  List.iter
-    (fun (shard, ff) ->
-      let p = run ~shard ~ff in
-      Alcotest.(check string)
-        (Printf.sprintf "faulted fat-tree identity shard=%b ff=%b" shard ff)
-        base.fp p.fp)
-    [ (true, false); (true, true) ]
+  Alcotest.(check string) "faulted fat-tree identity ff=true" base.fp
+    (run ~ff:true).fp
 
 (* The `picobench scale` part A probe: UMT's persistent-channel wavefront
    sweeps (6-neighbour rendezvous halos) are the densest same-instant
@@ -404,19 +390,43 @@ let test_unsharded_counters () =
   Alcotest.(check int) "no barriers" 0 (Sim.barrier_rounds sim);
   Alcotest.(check int) "no cross-shard events" 0 (Sim.xshard_events sim)
 
-(* Fat-tree topologies shard (one shard per node; links get Shardmap
-   owner shards), and the pairwise-exchange workload that forces
-   mid-train link contention stays bit-identical to the unsharded
-   ordered run. *)
+(* A sharding request on a genuinely unshardable config (single node) is
+   refused, counted, and the cluster runs unsharded with the results of
+   a build that never asked. *)
+let test_shard_refused () =
+  let build sharding =
+    Cluster.build Cluster.Linux ~n_nodes:1 ~sharding ~seed:1L ()
+  in
+  let before = Cluster.shard_refusals () in
+  let cl = build true in
+  Alcotest.(check bool) "single-node cluster is unsharded" false
+    (Sim.sharded cl.Cluster.sim);
+  Alcotest.(check int) "refusal counted" (before + 1)
+    (Cluster.shard_refusals ());
+  let res = Experiment.run cl ~ranks_per_node:2 app in
+  Alcotest.(check bool) "runs to completion" true
+    (res.Experiment.fom_ns > 0.);
+  let plain = build false in
+  Alcotest.(check string) "same results as unrequested"
+    (fingerprint plain (Experiment.run plain ~ranks_per_node:2 app))
+    (fingerprint cl res)
+
+(* Fat-trees never shard: a sharding request is refused and counted like
+   a single-node one, and the pairwise-exchange workload that forces
+   mid-train link contention gives the same results as a build that
+   never asked. *)
 let test_fat_tree_shards () =
   let topology = Topology.Fat_tree { radix = 2; oversub = 1 } in
+  let before = Cluster.shard_refusals () in
   let cl =
     Cluster.build Cluster.Mckernel ~n_nodes:4 ~topology ~sharding:true
       ~seed:3L ()
   in
-  Alcotest.(check bool) "fat-tree cluster is sharded" true
+  Alcotest.(check bool) "fat-tree cluster is unsharded" false
     (Sim.sharded cl.Cluster.sim);
-  Alcotest.(check int) "one shard per node" 4 (Sim.shard_count cl.Cluster.sim);
+  Alcotest.(check int) "no shards" 0 (Sim.shard_count cl.Cluster.sim);
+  Alcotest.(check int) "refusal counted" (before + 1)
+    (Cluster.shard_refusals ());
   let run ~shard =
     run_probe ~topology ~app:xchg_app ~kind:Cluster.Mckernel_hfi ~n_nodes:4
       ~rpn:2 ~seed:3L ~faults:false ~shard ~ff:false ()
@@ -424,19 +434,6 @@ let test_fat_tree_shards () =
   let off = run ~shard:false in
   let on = run ~shard:true in
   Alcotest.(check string) "identical results" off.fp on.fp
-
-(* A sharding request on a genuinely unshardable config (single node) is
-   refused, counted, and the cluster still runs unsharded. *)
-let test_shard_refused () =
-  let before = Cluster.shard_refusals () in
-  let cl = Cluster.build Cluster.Linux ~n_nodes:1 ~sharding:true ~seed:1L () in
-  Alcotest.(check bool) "single-node cluster is unsharded" false
-    (Sim.sharded cl.Cluster.sim);
-  Alcotest.(check int) "refusal counted" (before + 1)
-    (Cluster.shard_refusals ());
-  let res = Experiment.run cl ~ranks_per_node:2 app in
-  Alcotest.(check bool) "runs to completion" true
-    (res.Experiment.fom_ns > 0.)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in

@@ -4,10 +4,9 @@
    caller's RNG split), an end-to-end run with admission shedding and
    breaker trips live, and shard-on/off identity of the full result
    fingerprint — every latency sample plus the shed/trip counters — on
-   flat and fat-tree worlds. *)
+   flat worlds. *)
 
 module Rng = Pico_engine.Rng
-module Topology = Pico_fabric.Topology
 module Costs = Pico_costs.Costs
 module Cluster = Pico_harness.Cluster
 module Experiment = Pico_harness.Experiment
@@ -96,8 +95,8 @@ let test_zero_knob_no_split () =
 
 (* --- end-to-end runs ------------------------------------------------------- *)
 
-let run_world ?topology ?(sharding = false) kind ~n_nodes =
-  let cl = Cluster.build kind ~n_nodes ?topology ~sharding () in
+let run_world ?(sharding = false) ?(ordered_arrivals = false) kind ~n_nodes =
+  let cl = Cluster.build kind ~n_nodes ~sharding ~ordered_arrivals () in
   let out = Array.make n_nodes None in
   let plans =
     Serve.plans ~split:(fun () -> Rng.split cl.Cluster.rng) ~clients:1
@@ -170,31 +169,26 @@ let fingerprint (res : Experiment.result) out =
     out;
   Buffer.contents b
 
-let probe ?topology ~shard kind =
-  (* Shard-on/off identity only holds between runs sharing the ordered
-     same-instant arrival tie-break (sharded builds force it). *)
-  Cluster.ordered_arrivals := true;
-  Fun.protect ~finally:(fun () -> Cluster.ordered_arrivals := false)
-  @@ fun () ->
+(* Flat worlds only: fat-trees never shard.  Shard-on/off identity only
+   holds between runs sharing the ordered same-instant arrival tie-break
+   (sharded builds force it). *)
+let probe ~shard kind =
   Costs.with_patched arm
   @@ fun () ->
-  let res, out = run_world ?topology ~sharding:shard kind ~n_nodes:4 in
+  let res, out =
+    run_world ~sharding:shard ~ordered_arrivals:true kind ~n_nodes:4
+  in
   fingerprint res out
 
 let test_shard_identity () =
   List.iter
-    (fun (name, topology) ->
-      List.iter
-        (fun kind ->
-          let off = probe ?topology ~shard:false kind in
-          let on = probe ?topology ~shard:true kind in
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s shard on = off" name
-               (Cluster.kind_to_string kind))
-            off on)
-        [ Cluster.Linux; Cluster.Mckernel; Cluster.Mckernel_hfi ])
-    [ ("flat", None);
-      ("ft2", Some (Topology.Fat_tree { radix = 4; oversub = 2 })) ]
+    (fun kind ->
+      let off = probe ~shard:false kind in
+      let on = probe ~shard:true kind in
+      Alcotest.(check string)
+        (Printf.sprintf "%s shard on = off" (Cluster.kind_to_string kind))
+        off on)
+    [ Cluster.Linux; Cluster.Mckernel; Cluster.Mckernel_hfi ]
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
