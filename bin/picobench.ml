@@ -225,8 +225,8 @@ let fabric_cmd =
 let scale_cmd =
   cmd "scale"
     ~doc:
-      "At-scale sweeps (64-256+ nodes) on the sharded + fast-forwarded \
-       engine, with byte-identity self-checks for both switches"
+      "At-scale sweeps (64-256+ nodes) on the sharded engine, with \
+       byte-identity self-checks for sharding and ledgers"
     Term.(
       const (fun scale jobs json trace breakdown ->
           emit ?json ?trace ?breakdown ?jobs (fun () -> F.at_scale ~scale ?jobs ()))

@@ -113,14 +113,6 @@ type _ Effect.t +=
   | Until : t * float -> unit Effect.t
   | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
 
-(* Steady-state fast-forward (test-visible switch, like [Hfi.batching]):
-   when true, model layers that own an elide-events-never-costs closed
-   form (noise clocks, SDMA packet trains) may engage it beyond their
-   conservative default gates.  Semantics must stay byte-identical —
-   test/test_scale.ml checks on-vs-off equivalence.  Never mutated
-   inside a sweep. *)
-let fast_forward = ref false
-
 let create () =
   { now = 0.; queue = Heap.create (); seq = 0; processed = 0;
     current = None; running = false; pool = [||]; pool_n = 0;

@@ -156,15 +156,6 @@ val epochs_elided : t -> int
 (** Cross-shard events merged at barriers. *)
 val xshard_events : t -> int
 
-(** {2 Steady-state fast-forward}
-
-    Test-visible switch (like [Hfi.batching], default [false]): when on,
-    model layers that own an elide-events-never-costs closed form (noise
-    clocks, SDMA packet trains) may engage it beyond their conservative
-    default gates.  Results must stay byte-identical — set before a
-    sweep, never inside one. *)
-val fast_forward : bool ref
-
 (** {2 Span tracing storage}
 
     The simulator stores traced intervals; all recording policy (the

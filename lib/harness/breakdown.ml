@@ -302,10 +302,12 @@ let flush ~figure =
                | None -> rec_ (pre ^ ph ^ "/share") (share sum grand)))
     |> ignore;
     (* (c) time-bucketed timelines: step series (instrumented instants
-       are result-determined, see Ledger) walked in sorted order over
-       [0, H] where H is the longest world's end time; each bucket
-       reports the time-weighted mean level summed over worlds, plus
-       the overall mean and the peak level. *)
+       are result-determined, see Ledger) with every world's steps
+       merged by simulated time over [0, H], where H is the longest
+       world's end time; each bucket reports the time-weighted mean
+       level summed over worlds, plus the overall mean and the peak
+       level.  Times compare as floats: their %h keys do not sort by
+       value. *)
     let horizon =
       List.fold_left (fun h sn -> Float.max h sn.sn_horizon) 0. snaps
     in
@@ -314,7 +316,13 @@ let flush ~figure =
         (fun sn ->
           List.map (fun (s, t, d) -> (sn.sn_label, s, t, d)) sn.sn_steps)
         snaps
-      |> List.sort (fun a b -> compare (step_key a) (step_key b))
+      |> List.sort (fun (l1, s1, t1, d1) (l2, s2, t2, d2) ->
+             match String.compare s1 s2 with
+             | 0 -> (
+               match Float.compare t1 t2 with
+               | 0 -> compare (l1, d1) (l2, d2)
+               | c -> c)
+             | c -> c)
     in
     if steps <> [] && horizon > 0. then begin
       let width = horizon /. float_of_int timeline_buckets in
@@ -341,11 +349,16 @@ let flush ~figure =
           List.iter
             (fun (_, s, t, d) ->
               if s = name then begin
-                settle t;
-                level := !level + d;
-                if !level > !peak then peak := !level
+                if t > !t_prev then begin
+                  (* a new instant: every delta of the previous one has
+                     been applied, so its level is the one that held *)
+                  if !level > !peak then peak := !level;
+                  settle t
+                end;
+                level := !level + d
               end)
             steps;
+          if !level > !peak then peak := !level;
           settle horizon;
           let p = "timeline/" ^ name ^ "/" in
           let total = Array.fold_left ( +. ) 0. integral in

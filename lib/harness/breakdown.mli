@@ -26,9 +26,10 @@
       tail-latency story
     - [timeline/<series>/{mean,peak,bucket00..bucket15}] — step series
       ([offload/queue_depth], [sdma/busy_engines], [sdma/inflight])
-      integrated over [0, H] (H = longest world's end time): per-bucket
-      time-weighted mean level summed over worlds, overall mean, and
-      peak level
+      integrated over [0, H] (H = longest world's end time), every
+      world's steps merged by simulated time: per-bucket time-weighted
+      mean level summed over worlds, overall mean, and peak level
+      (sampled once all deltas of an instant are applied)
 
     Determinism: a sharded run closes the same ledgers in a different
     host order than an unsharded run, and pool workers deliver

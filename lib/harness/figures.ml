@@ -1152,15 +1152,13 @@ let fabric ?jobs () =
     node_counts;
   Buffer.contents b
 
-(* --- At-scale sweeps: sharded engine + steady-state fast-forward ------------ *)
+(* --- At-scale sweeps on the sharded engine ----------------------------------- *)
 
 (* The Figures 5-7-shaped sweep pushed to the node counts the paper's
-   cluster actually had, made tractable by two engine switches: per-node
-   event sharding ([Cluster.build ~sharding], with the content-ordered
-   barrier merge; flat worlds only) and steady-state fast-forward
-   ([Sim.fast_forward], the closed forms that elide events but never
-   costs).  Part A proves on small worlds that neither switch changes
-   simulation results; Part B runs the big sweep with both on. *)
+   cluster actually had, made tractable by per-node event sharding
+   ([Cluster.build ~sharding], with the content-ordered barrier merge;
+   flat worlds only).  Part A proves on small worlds that sharding
+   changes no simulation result; Part B runs the big sweep sharded. *)
 
 let at_scale_nodes s =
   if s = full then [ 256; 512; 1024 ]
@@ -1168,57 +1166,36 @@ let at_scale_nodes s =
   else [ 64; 128; 256 ]
 
 (* Everything simulated a run produced, as exact bit patterns: any float
-   divergence upstream lands in at least one of these.  The per-tier
-   link counters are empty under Flat (the string is unchanged) and
-   cover what fat-tree train formation could plausibly skew: FCFS grant
-   order, queue depths, per-link busy-time float sums. *)
+   divergence upstream lands in at least one of these.  Only flat worlds
+   reach it (the probes below and {!serve_probe}), so there are no
+   per-tier link counters to cover. *)
 let at_scale_fingerprint (cl : Cluster.t) (res : Experiment.result) =
   (* Fabric fault counters are results too (parks, replays, reroutes,
      retries all happen at result-determined instants), unlike engine
      elision counts — so shard-on/off must reproduce them exactly. *)
   let fs = Fabric.fault_stats cl.Cluster.fabric in
-  Printf.sprintf "%Lx;%Lx;%Lx;%d;%d%s;%d:%Lx:%d:%d:%d:%d:%d"
+  Printf.sprintf "%Lx;%Lx;%Lx;%d;%d;%d:%Lx:%d:%d:%d:%d:%d"
     (Int64.bits_of_float res.Experiment.fom_ns)
     (Int64.bits_of_float res.Experiment.wall_ns)
     (Int64.bits_of_float res.Experiment.init_ns)
     (Fabric.packets_delivered cl.Cluster.fabric)
     (Fabric.bytes_delivered cl.Cluster.fabric)
-    (Fabric.tier_stats cl.Cluster.fabric
-    |> List.map (fun (ts : Fabric.tier_stats) ->
-           Printf.sprintf ";%s:%d:%d:%d:%Lx:%d:%d" ts.Fabric.ts_tier
-             ts.Fabric.ts_links ts.Fabric.ts_packets ts.Fabric.ts_bytes
-             (Int64.bits_of_float ts.Fabric.ts_busy_ns)
-             ts.Fabric.ts_peak_queue ts.Fabric.ts_contended)
-    |> String.concat "")
     fs.Fabric.fs_parks
     (Int64.bits_of_float fs.Fabric.fs_park_ns)
     fs.Fabric.fs_replays fs.Fabric.fs_reroutes fs.Fabric.fs_egress_parks
     fs.Fabric.fs_retries fs.Fabric.fs_degraded
 
-(* Sequential on purpose: each probe mutates the process-wide
-   fast-forward switch, which must never happen inside a pool (workers
-   read it). *)
-let at_scale_probe ?topology ?fault ~shard ~ff kind =
-  Sim.fast_forward := ff;
-  Fun.protect ~finally:(fun () -> Sim.fast_forward := false) @@ fun () ->
-  let body () =
-    (* Identity across shard-on/off only holds between runs sharing the
-       same same-instant arrival tie-break: sharded builds force the
-       content order, so flat comparators opt into it too.  Fat-trees
-       never shard and keep the default order. *)
-    let cl =
-      Cluster.build kind ~n_nodes:4 ?topology ~sharding:shard
-        ~ordered_arrivals:(Option.is_none topology) ()
-    in
-    if fault <> None then Fault.install cl;
-    let res =
-      Experiment.run cl ~ranks_per_node:2 (fun c -> Pico_apps.Umt.run c)
-    in
-    at_scale_fingerprint cl res
+(* Identity across shard-on/off only holds between runs sharing the same
+   same-instant arrival tie-break: sharded builds force the content
+   order, so the unsharded comparator opts into it too. *)
+let at_scale_probe ~shard kind =
+  let cl =
+    Cluster.build kind ~n_nodes:4 ~sharding:shard ~ordered_arrivals:true ()
   in
-  match fault with
-  | None -> body ()
-  | Some patch -> Costs.with_patched patch body
+  let res =
+    Experiment.run cl ~ranks_per_node:2 (fun c -> Pico_apps.Umt.run c)
+  in
+  at_scale_fingerprint cl res
 
 (* The oversubscribed fat-tree tail: fewer, larger node counts than the
    flat sweep, with a starved core (radix 4, oversub 2: two spines for
@@ -1234,68 +1211,21 @@ let at_scale ?(scale = quick) ?jobs () =
   Engine_obs.measure ~figure:"scale" @@ fun () ->
   let refused0 = Cluster.shard_refusals () in
   let b = Buffer.create 4096 in
-  buf_add b "At-scale collapse on the sharded + fast-forwarded engine\n\n";
-  (* Part A: per OS configuration, the (shard, fast-forward) switch
-     combinations must reproduce the baseline run bit for bit. *)
-  let oks =
-    List.map
+  buf_add b "At-scale collapse on the sharded engine\n\n";
+  (* Part A: per OS configuration, the sharded run must reproduce the
+     unsharded baseline bit for bit. *)
+  let shard_ok =
+    List.for_all
       (fun kind ->
-        let base = at_scale_probe ~shard:false ~ff:false kind in
-        ( at_scale_probe ~shard:true ~ff:false kind = base,
-          at_scale_probe ~shard:false ~ff:true kind = base,
-          at_scale_probe ~shard:true ~ff:true kind = base ))
+        let base = at_scale_probe ~shard:false kind in
+        at_scale_probe ~shard:true kind = base)
       os_kinds
   in
-  let shard_ok = List.for_all (fun (s, _, c) -> s && c) oks in
-  let ff_ok = List.for_all (fun (_, f, c) -> f && c) oks in
   Report.record ~figure:"scale" ~metric:"shard_equiv"
     (if shard_ok then 1. else 0.);
-  Report.record ~figure:"scale" ~metric:"ff_equiv" (if ff_ok then 1. else 0.);
   buf_add b
     (Printf.sprintf "sharding on/off: %s (3 OS configs)\n"
        (if shard_ok then "OK, byte-identical" else "MISMATCH"));
-  buf_add b
-    (Printf.sprintf "fast-forward on/off: %s (3 OS configs)\n"
-       (if ff_ok then "OK, byte-identical" else "MISMATCH"));
-  (* Fast-forward on a fat-tree: fat-trees never shard, but the relaxed
-     SDMA gate still forms trains that link contention must abort, and
-     the fingerprint additionally covers the per-tier link counters. *)
-  let ft_topo = Topology.Fat_tree { radix = 2; oversub = 1 } in
-  let ft_ff_equiv ?fault () =
-    List.for_all
-      (fun kind ->
-        let probe ff =
-          at_scale_probe ~topology:ft_topo ?fault ~shard:false ~ff kind
-        in
-        probe true = probe false)
-      os_kinds
-  in
-  let ft_ok = ft_ff_equiv () in
-  Report.record ~figure:"scale" ~metric:"ft_ff_equiv"
-    (if ft_ok then 1. else 0.);
-  buf_add b
-    (Printf.sprintf
-       "fat-tree fast-forward on/off: %s (3 OS configs, radix 2)\n"
-       (if ft_ok then "OK, byte-identical" else "MISMATCH"));
-  (* And once more with a live link-fault schedule (DESIGN.md section
-     14): down-window transitions land on result-determined instants,
-     and the fingerprint's fault counters must survive fast-forward bit
-     for bit. *)
-  let ft_fault c =
-    c.Costs.fault_horizon <- 4.0e7;
-    c.Costs.fault_link_down_interval <- 3.0e5;
-    c.Costs.fault_link_down_duration <- 1.0e5;
-    c.Costs.fault_link_derate_interval <- 4.0e5;
-    c.Costs.fault_link_derate_duration <- 1.5e5;
-    c.Costs.fault_link_corrupt <- 5.0e-4
-  in
-  let ftf_ok = ft_ff_equiv ~fault:ft_fault () in
-  Report.record ~figure:"scale" ~metric:"ft_fault_ff_equiv"
-    (if ftf_ok then 1. else 0.);
-  buf_add b
-    (Printf.sprintf
-       "faulted fat-tree fast-forward on/off: %s (3 OS configs, radix 2)\n"
-       (if ftf_ok then "OK, byte-identical" else "MISMATCH"));
   (* Ledger probes: arming latency ledgers is host-side recording only,
      so (1) simulation results must stay bit-identical to the unarmed
      baseline, and (2) the recorded ledger content must itself be
@@ -1314,18 +1244,15 @@ let at_scale ?(scale = quick) ?jobs () =
     List.fold_left
       (fun (r_ok, c_ok) kind ->
         let plain =
-          with_ledgers false (fun () ->
-              at_scale_probe ~shard:false ~ff:false kind)
+          with_ledgers false (fun () -> at_scale_probe ~shard:false kind)
         in
         ignore (Breakdown.take_fingerprint ());
         let armed =
-          with_ledgers true (fun () ->
-              at_scale_probe ~shard:false ~ff:false kind)
+          with_ledgers true (fun () -> at_scale_probe ~shard:false kind)
         in
         let lg_unsharded = Breakdown.take_fingerprint () in
         let sharded =
-          with_ledgers true (fun () ->
-              at_scale_probe ~shard:true ~ff:false kind)
+          with_ledgers true (fun () -> at_scale_probe ~shard:true kind)
         in
         let lg_sharded = Breakdown.take_fingerprint () in
         ( r_ok && plain = armed && sharded = plain,
@@ -1342,9 +1269,7 @@ let at_scale ?(scale = quick) ?jobs () =
   buf_add b
     (Printf.sprintf "ledger shard on/off: %s (3 OS configs)\n\n"
        (if lg_content_ok then "OK, breakdown byte-identical" else "MISMATCH"));
-  (* Part B: the big sweep, sharded.  Fast-forward goes on before the
-     pool spins up and comes off after it drains — workers only ever
-     read it. *)
+  (* Part B: the big sweep, sharded. *)
   let rpn = 8 in
   let nodes = at_scale_nodes scale in
   (* Half the steps and sweep phases of the calibrated Figure 6a runs:
@@ -1355,8 +1280,6 @@ let at_scale ?(scale = quick) ?jobs () =
   let umt_params =
     { Pico_apps.Umt.default with steps = 2; sweep_phases = 2 }
   in
-  Sim.fast_forward := true;
-  Fun.protect ~finally:(fun () -> Sim.fast_forward := false) @@ fun () ->
   let points =
     List.concat_map (fun n -> List.map (fun k -> (n, k)) os_kinds) nodes
   in

@@ -95,18 +95,17 @@ val faults : ?size:int -> ?iters:int -> ?jobs:int -> unit -> string
     part of {!all}. *)
 val fabric : ?jobs:int -> unit -> string
 
-(** At-scale sweeps on the sharded + fast-forwarded engine: (a) per OS
-    configuration, small-world proof that shard-on/off and
-    fast-forward-on/off produce byte-identical simulation results (the
-    unsharded comparator passes [~ordered_arrivals:true], the tie-break
-    sharded builds force), plus fast-forward-on/off on unsharded
-    fat-trees with and without link faults; (b) the Figure 6a-shaped
-    UMT2013 sweep pushed to 64-256 nodes (quick scale; up to 1024 at
-    full) with both switches on — the paper's at-scale collapse in
-    minutes; (c) an unsharded oversubscribed fat-tree tail against flat
-    at the same node counts.  [engine/shards/*] report keys expose
-    per-shard event counts, barrier rounds and epochs skipped.  Not part
-    of {!all}. *)
+(** At-scale sweeps on the sharded engine: (a) per OS configuration,
+    small-world proof that shard-on/off produces byte-identical
+    simulation results (the unsharded comparator passes
+    [~ordered_arrivals:true], the tie-break sharded builds force), and
+    that arming latency ledgers changes no result and records the same
+    breakdown sharded or not; (b) the Figure 6a-shaped UMT2013 sweep
+    pushed to 64-256 nodes (quick scale; up to 1024 at full), sharded —
+    the paper's at-scale collapse in minutes; (c) an unsharded
+    oversubscribed fat-tree tail against flat at the same node counts.
+    [engine/shards/*] report keys expose per-shard event counts, barrier
+    rounds and epochs skipped.  Not part of {!all}. *)
 val at_scale : ?scale:scale -> ?jobs:int -> unit -> string
 
 (** One aggregated point of the serve load sweep.  Every ratio-style

@@ -32,55 +32,22 @@ let compute t d =
   match t.src with
   | Pure -> Sim.delay t.sim d
   | Noisy { rng; interval; duration } ->
-    if !Sim.fast_forward && d > 0. then begin
-      (* Closed form of the per-event loop below: every [Sim.delay dt]
-         becomes [t_end := !t_end +. dt], which is the exact float
-         sequence sequential delays produce (each resumes at
-         [now +. dt]), with identical rng draws and [injected]
-         accumulation — then one event lands at the final instant.  The
-         clock is private to one rank, so no contention can invalidate
-         the advance mid-flight. *)
-      let t_end = ref (Sim.now t.sim) in
-      let delays = ref 0 in
-      let remaining = ref d in
-      while !remaining > 0. do
-        if t.to_next >= !remaining then begin
-          t.to_next <- t.to_next -. !remaining;
-          t_end := !t_end +. !remaining;
-          incr delays;
-          remaining := 0.
-        end
-        else begin
-          t_end := !t_end +. t.to_next;
-          remaining := !remaining -. t.to_next;
-          let hit = Rng.exponential rng ~mean:duration in
-          t.injected <- t.injected +. hit;
-          t_end := !t_end +. hit;
-          delays := !delays + 2;
-          t.to_next <- Rng.exponential rng ~mean:interval
-        end
-      done;
-      Sim.note_elided t.sim (!delays - 1);
-      Sim.delay_until t.sim !t_end
-    end
-    else begin
-      let remaining = ref d in
-      while !remaining > 0. do
-        if t.to_next >= !remaining then begin
-          t.to_next <- t.to_next -. !remaining;
-          Sim.delay t.sim !remaining;
-          remaining := 0.
-        end
-        else begin
-          Sim.delay t.sim t.to_next;
-          remaining := !remaining -. t.to_next;
-          let hit = Rng.exponential rng ~mean:duration in
-          t.injected <- t.injected +. hit;
-          Sim.delay t.sim hit;
-          t.to_next <- Rng.exponential rng ~mean:interval
-        end
-      done
-    end
+    let remaining = ref d in
+    while !remaining > 0. do
+      if t.to_next >= !remaining then begin
+        t.to_next <- t.to_next -. !remaining;
+        Sim.delay t.sim !remaining;
+        remaining := 0.
+      end
+      else begin
+        Sim.delay t.sim t.to_next;
+        remaining := !remaining -. t.to_next;
+        let hit = Rng.exponential rng ~mean:duration in
+        t.injected <- t.injected +. hit;
+        Sim.delay t.sim hit;
+        t.to_next <- Rng.exponential rng ~mean:interval
+      end
+    done
 
 let injected_ns t = t.injected
 

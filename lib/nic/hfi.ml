@@ -268,19 +268,10 @@ let rec crc_replay t ~work =
    the wire mid-train, {!maybe_abort_train} rewinds the uncommitted tail
    to per-packet processing, so contention is byte-identical too. *)
 let sdma_batch t (tx : Sdma.tx) =
-  (* Under [Sim.fast_forward], drop the one-context gate: an SDMA train
-     never pre-sends (the packet leaves in [on_complete]), and every
-     other wire user on this HFI — per-packet PIO, sibling engines, CRC
-     replays — goes through {!maybe_abort_train} first, which rewinds
-     the uncommitted tail to the exact per-packet boundary.  The idle
-     wire at formation plus [in_flight = 1] are still required, so the
-     only new trains are those whose contention, if any, arrives
-     mid-flight — precisely what the abort machinery reproduces
-     byte-for-byte (test_scale checks it). *)
   if
     not
       (!batching
-       && (train_alone t || (!Sim.fast_forward && Resource.idle t.wire))
+       && train_alone t
        && Sdma.in_flight t.sdma = 1
        && t.train = None
        && Option.is_none t.crc_corrupt

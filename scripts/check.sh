@@ -100,16 +100,12 @@ gate faults "--breakdown @OUT@.bd" \
 gate fabric "" \
   "flat-topology default: OK"
 
-# Sharding (flat worlds) and steady-state fast-forward must not change
-# simulation results; fat-trees never shard, but fast-forward must hold
-# there too, with and without a live link-fault schedule.  Arming
-# latency ledgers must not change any result, and the breakdown a
-# sharded run produces must equal the unsharded one.
+# Sharding (flat worlds; fat-trees never shard) must not change
+# simulation results.  Arming latency ledgers must not change any
+# result, and the breakdown a sharded run produces must equal the
+# unsharded one.
 gate scale "" \
   "sharding on/off: OK" \
-  "fast-forward on/off: OK" \
-  "fat-tree fast-forward on/off: OK" \
-  "faulted fat-tree fast-forward on/off: OK" \
   "ledgers off: OK" \
   "ledger shard on/off: OK"
 

@@ -100,9 +100,9 @@ fi
 #   serve: the identity probes plus the offered-load sweep — open-loop
 #     replay, admission queues, breaker bookkeeping and the nearest-rank
 #     quantile sort.
-#   scale: the 64-256-node sweep on the sharded + fast-forwarded engine,
-#     whose whole point is finishing in minutes; its unsharded
-#     oversubscribed fat-tree tail has its own sub-sweep timer
+#   scale: the 64-256-node sweep on the sharded engine, whose whole
+#     point is finishing in minutes; its unsharded oversubscribed
+#     fat-tree tail has its own sub-sweep timer
 #     (scale/engine/ft_host_seconds).
 # Skip each with PICO_PERF_FAULTS=0 / PICO_PERF_SERVE=0 / PICO_PERF_SCALE=0
 # (check.sh does: it just byte-checked these figures twice).

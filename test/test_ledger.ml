@@ -97,7 +97,7 @@ let test_close_idempotent () =
 (* One small McKernel+HFI1 experiment with a large message: offloaded
    syscalls, PIO and SDMA sends, PSM rendezvous and MPI calls all leave
    ledgers.  [Experiment.run] drains them into [Breakdown]. *)
-let run_world ?(sharding = false) ?(ordered_arrivals = false) () =
+let world ?(sharding = false) ?(ordered_arrivals = false) () =
   let cl =
     Cluster.build Cluster.Mckernel_hfi ~n_nodes:2 ~sharding ~ordered_arrivals ()
   in
@@ -112,7 +112,10 @@ let run_world ?(sharding = false) ?(ordered_arrivals = false) () =
         Pico_mpi.Collectives.barrier comm;
         0.)
   in
-  res.Experiment.fom_ns
+  (cl, res.Experiment.fom_ns)
+
+let run_world ?sharding ?ordered_arrivals () =
+  snd (world ?sharding ?ordered_arrivals ())
 
 let bits = Int64.bits_of_float
 
@@ -205,10 +208,47 @@ let test_shard_identity () =
 
 (* --- Breakdown flush ----------------------------------------------------- *)
 
+let has_prefix p k =
+  String.length k >= String.length p && String.sub k 0 (String.length p) = p
+
+(* The laws every flushed timeline obeys: levels are never negative, the
+   mean is the mean of the buckets, and the peak bounds every bucket. *)
+let check_timelines ~figure m =
+  let pre = figure ^ "/timeline/" in
+  let series =
+    List.filter_map
+      (fun (k, _) ->
+        if has_prefix pre k && Filename.basename k = "mean" then
+          Some (Filename.dirname k)
+        else None)
+      m
+  in
+  Alcotest.(check bool) "timelines recorded" true (series <> []);
+  List.iter
+    (fun (k, v) ->
+      if has_prefix pre k then
+        Alcotest.(check bool) (k ^ " >= 0") true (v >= 0.))
+    m;
+  List.iter
+    (fun sr ->
+      let get k = List.assoc (sr ^ "/" ^ k) m in
+      let buckets =
+        List.init 16 (fun i -> get (Printf.sprintf "bucket%02d" i))
+      in
+      let mean = get "mean" and peak = get "peak" in
+      let bucket_mean = List.fold_left ( +. ) 0. buckets /. 16. in
+      Alcotest.(check bool) (sr ^ " mean = mean of buckets") true
+        (Float.abs (mean -. bucket_mean) <= 1e-9 *. Float.max 1. mean);
+      List.iter
+        (fun v ->
+          Alcotest.(check bool) (sr ^ " peak >= bucket") true (peak >= v))
+        buckets)
+    series
+
 let test_flush_keys () =
   with_ledgers true @@ fun () ->
   Breakdown.clear ();
-  ignore (run_world ());
+  let cl, _ = world () in
   Breakdown.flush ~figure:"lgt";
   let m = Breakdown.dump () in
   Alcotest.(check bool) "keys recorded" true (List.length m > 20);
@@ -216,6 +256,12 @@ let test_flush_keys () =
     match List.assoc_opt k m with
     | Some v -> v
     | None -> Alcotest.failf "missing key %s" k
+  in
+  let n_engines =
+    Array.fold_left
+      (fun n env ->
+        n + Pico_nic.Sdma.n_engines (Pico_nic.Hfi.sdma env.Cluster.hfi))
+      0 cl.Cluster.nodes
   in
   (* every op has the reserved end_to_end pseudo-phase *)
   let e2e = get "lgt/lat/sdma/tx/end_to_end/total_ns" in
@@ -247,12 +293,9 @@ let test_flush_keys () =
   (* critical-path shares are well-formed fractions *)
   List.iter
     (fun (k, v) ->
-      let has_prefix p =
-        String.length k >= String.length p && String.sub k 0 (String.length p) = p
-      in
-      if has_prefix "lgt/critpath/" then
+      if has_prefix "lgt/critpath/" k then
         Alcotest.(check bool) (k ^ " in [0,1]") true (v >= 0. && v <= 1.);
-      if has_prefix "lgt/" then
+      if has_prefix "lgt/" k then
         Alcotest.(check bool) (k ^ " finite") true (Float.is_finite v))
     m;
   (* timeline series from the SDMA step instrumentation *)
@@ -260,6 +303,50 @@ let test_flush_keys () =
     (List.mem_assoc "lgt/timeline/sdma/busy_engines/mean" m);
   Alcotest.(check bool) "timeline peak >= 1" true
     (get "lgt/timeline/sdma/inflight/peak" >= 1.);
+  check_timelines ~figure:"lgt" m;
+  Alcotest.(check bool) "busy engines peak <= SDMA engines" true
+    (get "lgt/timeline/sdma/busy_engines/peak" <= float_of_int n_engines);
+  Breakdown.clear ()
+
+(* Two hand-built worlds whose steps straddle a hex-float inversion:
+   [%h] renders 5000 as 0x1.388p+12, which sorts before 1280's
+   0x1.4p+10.  Levels must sum over worlds on one merged time axis, and
+   at 5000 world w0's +1 and world w1's -1 land together: the peak is
+   the level after both, not the transient in between. *)
+let test_timeline_merge () =
+  with_ledgers true @@ fun () ->
+  Breakdown.clear ();
+  let stepped label steps =
+    let sim = Sim.create () in
+    Sim.set_label sim label;
+    Sim.spawn sim (fun () ->
+        List.iter
+          (fun (t, d) ->
+            Sim.delay_until sim t;
+            Ledger.step sim ~series:"test/level" d)
+          steps;
+        Sim.delay_until sim 8000.);
+    ignore (Sim.run sim);
+    Breakdown.note_sim sim
+  in
+  stepped "w1" [ (1280., 1); (5000., -1) ];
+  stepped "w0" [ (3000., 1); (5000., 1); (6000., -1); (7000., -1) ];
+  Breakdown.flush ~figure:"tm";
+  let m = Breakdown.dump () in
+  let get k = List.assoc ("tm/timeline/test/level/" ^ k) m in
+  (* width 500: level 1 on [1280, 3000), 2 on [3000, 6000), 1 on
+     [6000, 7000), 0 after *)
+  let expected =
+    [ 0.; 0.; 0.44; 1.; 1.; 1.; 2.; 2.; 2.; 2.; 2.; 2.; 1.; 1.; 0.; 0. ]
+  in
+  List.iteri
+    (fun i v ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "bucket%02d" i) v
+        (get (Printf.sprintf "bucket%02d" i)))
+    expected;
+  Alcotest.(check (float 0.)) "mean" 1.09 (get "mean");
+  Alcotest.(check (float 0.)) "peak" 2. (get "peak");
+  check_timelines ~figure:"tm" m;
   Breakdown.clear ()
 
 let test_flush_empty_records_nothing () =
@@ -307,6 +394,8 @@ let () =
            test_shard_identity ]);
       ("breakdown",
        [ Alcotest.test_case "flush keys" `Quick test_flush_keys;
+         Alcotest.test_case "timeline merges worlds by time" `Quick
+           test_timeline_merge;
          Alcotest.test_case "empty flush records nothing" `Quick
            test_flush_empty_records_nothing ]);
       ("stats",

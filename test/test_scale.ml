@@ -1,19 +1,17 @@
-(* Tests for the sharded engine and steady-state fast-forward: byte
-   identity of simulation results across shard-on/off and
-   fast-forward-on/off on flat worlds (including with fault injection
-   armed) and across fast-forward-on/off on unsharded fat-trees, the
-   mid-run halt case proving fast-forward falls back to per-event
-   processing, Route memoization, and the shard counter plumbing
+(* Tests for the sharded engine and whole-cluster packet-train
+   batching: byte identity of simulation results across shard-on/off on
+   flat worlds (including with fault injection armed and with SDMA
+   engines halting mid-run), across batching-on/off against the
+   per-packet reference on flat and fat-tree clusters (with halts and
+   link faults), Route memoization, and the shard counter plumbing
    (including refused requests). *)
 
 module Sim = Pico_engine.Sim
-module Rng = Pico_engine.Rng
 module Topology = Pico_fabric.Topology
 module Route = Pico_fabric.Route
 module Fabric = Pico_nic.Fabric
 module Hfi = Pico_nic.Hfi
 module Sdma = Pico_nic.Sdma
-module Noise = Pico_linux.Noise
 module Costs = Pico_costs.Costs
 module Cluster = Pico_harness.Cluster
 module Experiment = Pico_harness.Experiment
@@ -27,10 +25,11 @@ let () = Costs.reset ()
 
 (* --- the probe workload ----------------------------------------------------
 
-   One steady-state iteration mixes everything the two switches touch:
-   rendezvous-sized ring traffic (SDMA request trains), eager collective
-   traffic, and noise-metered compute (Linux ranks).  Deliberately the
-   same shape as the integration fuzz app, plus compute. *)
+   One steady-state iteration mixes everything sharding and batching
+   touch: rendezvous-sized ring traffic (SDMA request trains), eager
+   collective traffic, and noise-metered compute (Linux ranks).
+   Deliberately the same shape as the integration fuzz app, plus
+   compute. *)
 
 let app comm =
   let os = Pico_psm.Endpoint.os comm.Comm.ep in
@@ -159,10 +158,10 @@ type probe = {
 }
 
 let run_probe ?(app = app) ?(topology = Topology.Flat) ?(linkfaults = false)
-    ~kind ~n_nodes ~rpn ~seed ~faults ~shard ~ff () =
+    ?(batching = true) ~kind ~n_nodes ~rpn ~seed ~faults ~shard () =
   with_faults ~links:linkfaults faults @@ fun () ->
-  Sim.fast_forward := ff;
-  Fun.protect ~finally:(fun () -> Sim.fast_forward := false) @@ fun () ->
+  Hfi.batching := batching;
+  Fun.protect ~finally:(fun () -> Hfi.batching := true) @@ fun () ->
   (* Identity across shard-on/off only holds between runs sharing the
      same same-instant arrival tie-break, so the unsharded flat
      comparator opts into the content order that sharded builds force
@@ -188,11 +187,10 @@ let run_probe ?(app = app) ?(topology = Topology.Flat) ?(linkfaults = false)
 
 let kinds = [| Cluster.Linux; Cluster.Mckernel; Cluster.Mckernel_hfi |]
 
-(* --- shard-on/off and fast-forward-on/off identity ------------------------- *)
+(* --- shard-on/off identity ----------------------------------------------- *)
 
-let prop_switch_identity =
-  QCheck2.Test.make
-    ~name:"shard/fast-forward on/off: identical simulation results"
+let prop_shard_identity =
+  QCheck2.Test.make ~name:"shard on/off: identical simulation results"
     ~count:12
     ~print:(fun (k, n, r, s, f) ->
       Printf.sprintf "kind=%d n_nodes=%d rpn=%d seed=%d faults=%b" k n r s f)
@@ -202,68 +200,17 @@ let prop_switch_identity =
     (fun (kind_i, n_nodes, rpn, seed, faults) ->
       let kind = kinds.(kind_i) in
       let seed = Int64.of_int seed in
-      let base =
-        run_probe ~kind ~n_nodes ~rpn ~seed ~faults ~shard:false ~ff:false ()
-      in
-      List.for_all
-        (fun (shard, ff) ->
-          let p = run_probe ~kind ~n_nodes ~rpn ~seed ~faults ~shard ~ff () in
-          p.fp = base.fp
-          (* Elision decisions depend only on simulated state, so they
-             are switch-for-switch identical unless fast-forward widens
-             the gates.  Raw event counts may drift by a handful under
-             sharding (a same-instant cross-shard put/get pair commutes
-             semantically but changes whether a wake event is needed),
-             which is why identity is defined over simulation results,
-             never engine-internal counters. *)
-          && (ff || p.elided = base.elided))
-        [ (true, false); (false, true); (true, true) ])
-
-(* The fast-forward half of the law over congested fat-tree fabrics,
-   which never shard: the relaxed SDMA gate forms trains that link
-   contention (and, with link faults, down windows) must abort, and
-   every simulation result (FOMs, packet/byte counts, per-node HFI/SDMA
-   counters, per-tier link counters) must stay bit identical to the
-   per-event run. *)
-let prop_ft_identity =
-  QCheck2.Test.make
-    ~name:"fat-tree fast-forward on/off: identical simulation results"
-    ~count:8
-    ~print:(fun (k, n, r, s, (f, lf, radix, oversub)) ->
-      Printf.sprintf
-        "kind=%d n_nodes=%d rpn=%d seed=%d faults=%b linkfaults=%b radix=%d \
-         oversub=%d"
-        k n r s f lf radix oversub)
-    QCheck2.Gen.(
-      tup5 (int_range 0 2) (int_range 2 5) (int_range 1 2) (int_range 0 10_000)
-        (tup4 bool bool (int_range 2 4) (int_range 1 2)))
-    (fun (kind_i, n_nodes, rpn, seed, (faults, linkfaults, radix, oversub)) ->
-      let kind = kinds.(kind_i) in
-      let seed = Int64.of_int seed in
-      let topology = Topology.Fat_tree { radix; oversub } in
-      let run ~ff =
-        run_probe ~topology ~linkfaults ~kind ~n_nodes ~rpn ~seed ~faults
-          ~shard:false ~ff ()
-      in
-      (run ~ff:true).fp = (run ~ff:false).fp)
-
-(* The link-fault half of the law, pinned non-vacuously: a seed/rate
-   point where the base run demonstrably parks packets on down links and
-   re-routes around them, then fast-forward must reproduce every result
-   — including the fault counters — bit for bit. *)
-let test_ft_linkfault_identity () =
-  let kind = Cluster.Mckernel_hfi and n_nodes = 5 and rpn = 2
-  and seed = 0x5EEDL in
-  let topology = Topology.Fat_tree { radix = 2; oversub = 1 } in
-  let run ~ff =
-    run_probe ~app:xchg_app ~topology ~linkfaults:true ~kind ~n_nodes ~rpn
-      ~seed ~faults:false ~shard:false ~ff ()
-  in
-  let base = run ~ff:false in
-  Alcotest.(check bool) "link faults actually bit (parks or reroutes)" true
-    (base.linkhits > 0);
-  Alcotest.(check string) "faulted fat-tree identity ff=true" base.fp
-    (run ~ff:true).fp
+      let run ~shard = run_probe ~kind ~n_nodes ~rpn ~seed ~faults ~shard () in
+      let base = run ~shard:false in
+      let p = run ~shard:true in
+      p.fp = base.fp
+      (* Elision decisions depend only on simulated state, so they are
+         identical across shard-on/off.  Raw event counts may drift by a
+         handful under sharding (a same-instant cross-shard put/get pair
+         commutes semantically but changes whether a wake event is
+         needed), which is why identity is defined over simulation
+         results, never engine-internal counters. *)
+      && p.elided = base.elided)
 
 (* The `picobench scale` part A probe: UMT's persistent-channel wavefront
    sweeps (6-neighbour rendezvous halos) are the densest same-instant
@@ -271,73 +218,83 @@ let test_ft_linkfault_identity () =
 let test_umt_identity () =
   Array.iter
     (fun kind ->
-      let run ~shard ~ff =
+      let run ~shard =
         run_probe
           ~app:(fun c -> Pico_apps.Umt.run c)
-          ~kind ~n_nodes:4 ~rpn:2 ~seed:0x5EEDL ~faults:false ~shard ~ff ()
+          ~kind ~n_nodes:4 ~rpn:2 ~seed:0x5EEDL ~faults:false ~shard ()
       in
-      let base = run ~shard:false ~ff:false in
-      List.iter
-        (fun (shard, ff) ->
-          let p = run ~shard ~ff in
-          Alcotest.(check string)
-            (Printf.sprintf "umt identity shard=%b ff=%b" shard ff)
-            base.fp p.fp)
-        [ (true, false); (false, true); (true, true) ])
+      Alcotest.(check string)
+        (Printf.sprintf "umt identity %s" (Cluster.kind_to_string kind))
+        (run ~shard:false).fp (run ~shard:true).fp)
     kinds
 
-(* --- mid-run halts under fast-forward -------------------------------------- *)
-
-(* With halts armed and several ranks per node, fast-forward still forms
-   SDMA trains (the relaxed gate), engines halt mid-run, and contending
-   wire users rewind trains to the per-event path; results must stay
-   byte-identical to the fully per-event run. *)
-let test_ff_halt_fallback () =
+(* With halts armed and several ranks per node, SDMA engines halt
+   mid-run and park their rings; the sharded run must reproduce every
+   result and the exact halt schedule. *)
+let test_halt_shard () =
   let kind = Cluster.Mckernel_hfi and n_nodes = 2 and rpn = 2
   and seed = 42L in
-  let run ~shard ~ff =
-    run_probe ~app:xchg_app ~kind ~n_nodes ~rpn ~seed ~faults:true ~shard ~ff
-      ()
+  let run ~shard =
+    run_probe ~app:xchg_app ~kind ~n_nodes ~rpn ~seed ~faults:true ~shard ()
   in
-  let off = run ~shard:false ~ff:false in
-  let on = run ~shard:true ~ff:true in
+  let off = run ~shard:false in
+  let on = run ~shard:true in
   Alcotest.(check bool) "halts actually occurred" true (off.halts > 0);
-  Alcotest.(check bool) "fast-forward engaged (more elided events)" true
-    (on.elided > off.elided);
-  Alcotest.(check bool) "trains aborted into the per-event path" true
-    (on.aborts > 0);
   Alcotest.(check string) "identical results" off.fp on.fp;
   Alcotest.(check int) "identical halt schedule" off.halts on.halts
 
-(* --- noise clock closed form ------------------------------------------------ *)
+(* --- batching on/off against the per-packet reference ---------------------- *)
 
-let prop_noise_ff =
-  QCheck2.Test.make
-    ~name:"noise fast-forward: same instants, draws and injected time"
-    ~count:60
+(* Whole clusters, flat and congested fat-tree: every train the default
+   gate forms — and every abort that engine halts, link contention or
+   down windows force — must leave every simulation result (FOMs,
+   packet/byte counts, per-node HFI/SDMA counters, per-tier link and
+   fault counters) bit-identical to the per-packet run. *)
+let prop_batching_identity =
+  QCheck2.Test.make ~name:"batching on/off: identical simulation results"
+    ~count:16
+    ~print:(fun (k, n, r, s, (flat, f, lf, radix, oversub)) ->
+      Printf.sprintf
+        "kind=%d n_nodes=%d rpn=%d seed=%d flat=%b faults=%b linkfaults=%b \
+         radix=%d oversub=%d"
+        k n r s flat f lf radix oversub)
     QCheck2.Gen.(
-      tup2 (map Int64.of_int int)
-        (list_size (int_range 1 12) (oneofl [ 0.; 1.0e4; 3.3e5; 2.5e6 ])))
-    (fun (seed, durations) ->
-      let trace ff =
-        Sim.fast_forward := ff;
-        Fun.protect ~finally:(fun () -> Sim.fast_forward := false)
-        @@ fun () ->
-        let sim = Sim.create () in
-        let noise =
-          Noise.create sim ~rng:(Rng.create ~seed) ~nohz_full:true
-        in
-        let out = ref [] in
-        Sim.spawn sim (fun () ->
-            List.iter
-              (fun d ->
-                Noise.compute noise d;
-                out := Int64.bits_of_float (Sim.now sim) :: !out)
-              durations);
-        ignore (Sim.run sim);
-        (!out, Int64.bits_of_float (Noise.injected_ns noise))
+      tup5 (int_range 0 2) (int_range 2 5) (int_range 1 2) (int_range 0 10_000)
+        (tup5 bool bool bool (int_range 2 4) (int_range 1 2)))
+    (fun (kind_i, n_nodes, rpn, seed, (flat, faults, linkfaults, radix, oversub))
+    ->
+      let kind = kinds.(kind_i) in
+      let seed = Int64.of_int seed in
+      let topology =
+        if flat then Topology.Flat else Topology.Fat_tree { radix; oversub }
       in
-      trace false = trace true)
+      let run ~batching =
+        run_probe ~topology ~linkfaults ~batching ~kind ~n_nodes ~rpn ~seed
+          ~faults ~shard:false ()
+      in
+      (run ~batching:true).fp = (run ~batching:false).fp)
+
+(* The same law pinned non-vacuously: a seed/rate point where the batched
+   run demonstrably parks or re-routes packets around down links, forms
+   trains and aborts some of them — and still reproduces every result,
+   fault counters included, bit for bit.  One rank per node: a second
+   open context on the HFI closes the train gate. *)
+let test_ft_linkfault_identity () =
+  let kind = Cluster.Mckernel_hfi and n_nodes = 6 and rpn = 1
+  and seed = 0x5EEDL in
+  let topology = Topology.Fat_tree { radix = 2; oversub = 1 } in
+  let run ~batching =
+    run_probe ~app:xchg_app ~topology ~linkfaults:true ~batching ~kind
+      ~n_nodes ~rpn ~seed ~faults:false ~shard:false ()
+  in
+  let batched = run ~batching:true in
+  Alcotest.(check bool) "link faults actually bit (parks or reroutes)" true
+    (batched.linkhits > 0);
+  Alcotest.(check bool) "trains formed (events elided)" true
+    (batched.elided > 0);
+  Alcotest.(check bool) "trains aborted" true (batched.aborts > 0);
+  Alcotest.(check string) "faulted fat-tree identity" batched.fp
+    (run ~batching:false).fp
 
 (* --- route memoization ------------------------------------------------------ *)
 
@@ -429,7 +386,7 @@ let test_fat_tree_shards () =
     (Cluster.shard_refusals ());
   let run ~shard =
     run_probe ~topology ~app:xchg_app ~kind:Cluster.Mckernel_hfi ~n_nodes:4
-      ~rpn:2 ~seed:3L ~faults:false ~shard ~ff:false ()
+      ~rpn:2 ~seed:3L ~faults:false ~shard ()
   in
   let off = run ~shard:false in
   let on = run ~shard:true in
@@ -439,13 +396,12 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "scale"
     [ ("identity",
-       [ q prop_switch_identity;
-         q prop_ft_identity;
+       [ q prop_shard_identity;
+         q prop_batching_identity;
          Alcotest.test_case "umt wavefront identity" `Slow test_umt_identity;
-         Alcotest.test_case "ff halt fallback" `Slow test_ff_halt_fallback;
+         Alcotest.test_case "halt shard on/off" `Slow test_halt_shard;
          Alcotest.test_case "faulted fat-tree identity" `Slow
            test_ft_linkfault_identity ]);
-      ("noise", [ q prop_noise_ff ]);
       ("route",
        [ q prop_route_memo;
          Alcotest.test_case "flat memo" `Quick test_route_memo_flat ]);
