@@ -58,8 +58,10 @@ let () =
      Printf.printf "SDMA requests > PAGE_SIZE: %d (Linux driver would emit 0)\n"
        (Pico_driver.Hfi1_pico.big_requests pico)
    | None -> ());
+  let requests = Pico_nic.Sdma.requests_submitted sdma in
   Printf.printf "SDMA: %d requests, mean size %.0f B (hardware max 10240)\n"
-    (Pico_nic.Sdma.requests_submitted sdma)
-    (Pico_engine.Stats.Summary.mean (Pico_nic.Sdma.request_size_hist sdma));
+    requests
+    (float_of_int (Pico_nic.Sdma.bytes_submitted sdma)
+     /. float_of_int requests);
   Printf.printf "simulated transfer completed at t=%.1f us\n"
     (result.H.Experiment.wall_ns /. 1e3)

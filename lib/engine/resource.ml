@@ -59,6 +59,14 @@ let account r ~waited ~busy =
   r.total_busy <- r.total_busy +. busy;
   r.total_served <- r.total_served + 1
 
+let account_many r ~n ~starts ~ends =
+  let busy = ref r.total_busy in
+  for i = 0 to n - 1 do
+    busy := !busy +. (ends.(i) -. starts.(i))
+  done;
+  r.total_busy <- !busy;
+  r.total_served <- r.total_served + n
+
 let total_served r = r.total_served
 
 let total_wait_ns r = r.total_wait

@@ -39,6 +39,14 @@ val idle : t -> bool
     (the caller must replicate {!use}'s float arithmetic exactly). *)
 val account : t -> waited:float -> busy:float -> unit
 
+(** [account_many r ~n ~starts ~ends] books [n] uncontended uses whose
+    service intervals were [\[starts.(i), ends.(i))], [i = 0 .. n-1]: the
+    same [total_busy] bits as [n] calls of {!account} [~waited:0.] in
+    index order, with no allocation per use.  ([~waited:0.] adds nothing:
+    [total_wait] starts at [+0.] and only grows.) *)
+val account_many :
+  t -> n:int -> starts:float array -> ends:float array -> unit
+
 (** Cumulative statistics. *)
 
 val total_served : t -> int

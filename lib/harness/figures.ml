@@ -623,9 +623,10 @@ let ablations () =
            Printf.sprintf "%+.1f%%" ((lwk /. tuned -. 1.) *. 100.) ] ]);
   (* 3. TID registration cache. *)
   let mck_nocache = pingpong_once Cluster.Mckernel ~size in
-  Pico_psm.Config.tid_cache := true;
-  let mck_cache = pingpong_once Cluster.Mckernel ~size in
-  Pico_psm.Config.tid_cache := false;
+  let mck_cache =
+    Pico_psm.Config.with_tid_cache true (fun () ->
+        pingpong_once Cluster.Mckernel ~size)
+  in
   Report.record ~figure:"ablations" ~metric:"tid_nocache_mbps" mck_nocache;
   Report.record ~figure:"ablations" ~metric:"tid_cache_mbps" mck_cache;
   buf_add b "\nAblation 3: TID registration cache (4 MB ping-pong, MB/s)\n";

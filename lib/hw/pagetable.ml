@@ -102,10 +102,16 @@ let find t va =
 
 let translate t va = find t va
 
-let pa_of t va =
-  match find t va with
-  | Some m -> m.pa + (va - m.va)
-  | None -> raise (Not_mapped va)
+(* [find]'s descent, answering the physical address directly: GUP calls
+   this for every page it pins, so no [mapping] option is built. *)
+let rec pa_in table va level =
+  match table.(index va level) with
+  | Leaf { pa; page_size; _ } when level_of_page_size page_size = level ->
+    pa + (va - Addr.align_down va page_size)
+  | Table child when level > 0 -> pa_in child va (level - 1)
+  | Empty | Leaf _ | Table _ -> raise (Not_mapped va)
+
+let pa_of t va = pa_in t.root va 3
 
 let unmap t ~va =
   let rec descend table level =

@@ -102,20 +102,15 @@ let pins_for t (caller : Vfs.caller) ~va ~len =
    neighbouring pages happen to be physically adjacent. *)
 let requests_of_pins ~va ~len (pins : Gup.pin list) : Sdma.request list =
   let first_off = Addr.offset_in_page va in
-  let rec go pins covered acc =
+  let[@tail_mod_cons] rec go pins covered =
     match pins with
-    | [] -> List.rev acc
-    | (p : Gup.pin) :: rest ->
-      if covered >= len then List.rev acc
-      else begin
-        let page_off = if covered = 0 then first_off else 0 in
-        let avail = Addr.page_size - page_off in
-        let take = min avail (len - covered) in
-        go rest (covered + take)
-          ({ Sdma.pa = p.Gup.pa + page_off; len = take } :: acc)
-      end
+    | (p : Gup.pin) :: rest when covered < len ->
+      let page_off = if covered = 0 then first_off else 0 in
+      let take = Int.min (Addr.page_size - page_off) (len - covered) in
+      { Sdma.pa = p.Gup.pa + page_off; len = take } :: go rest (covered + take)
+    | _ -> []
   in
-  go pins 0 []
+  go pins 0
 
 let do_writev t file (caller : Vfs.caller) (iovs : Vfs.iovec list) =
   t.writev_calls <- t.writev_calls + 1;
@@ -168,20 +163,16 @@ let do_writev t file (caller : Vfs.caller) (iovs : Vfs.iovec list) =
 
 let entries_of_pins ~va ~len (pins : Gup.pin list) : Rcvarray.entry list =
   let first_off = Addr.offset_in_page va in
-  let rec go pins covered acc =
+  let[@tail_mod_cons] rec go pins covered =
     match pins with
-    | [] -> List.rev acc
-    | (p : Gup.pin) :: rest ->
-      if covered >= len then List.rev acc
-      else begin
-        let page_off = if covered = 0 then first_off else 0 in
-        let avail = Addr.page_size - page_off in
-        let take = min avail (len - covered) in
-        go rest (covered + take)
-          ({ Rcvarray.pa = p.Gup.pa + page_off; len = take } :: acc)
-      end
+    | (p : Gup.pin) :: rest when covered < len ->
+      let page_off = if covered = 0 then first_off else 0 in
+      let take = Int.min (Addr.page_size - page_off) (len - covered) in
+      { Rcvarray.pa = p.Gup.pa + page_off; len = take }
+      :: go rest (covered + take)
+    | _ -> []
   in
-  go pins 0 []
+  go pins 0
 
 let note_tid_pins t ~tid_base ~count pins =
   Hashtbl.replace t.tid_pins tid_base (count, pins)

@@ -24,7 +24,6 @@ type ctx = {
    not-yet-elapsed tail of the train back to per-packet processing at the
    exact boundary the per-packet path would be at. *)
 type train = {
-  tr_reqs : Sdma.request array;
   tr_t1 : float array; (* wire acquire instant of request i *)
   tr_t2 : float array; (* wire release instant of request i *)
   mutable tr_gen : int; (* guard generation: stale wake-ups are no-ops *)
@@ -198,7 +197,7 @@ let maybe_abort_train t =
    | Some tr ->
      t.train_aborts <- t.train_aborts + 1;
      let now = Sim.now t.sim in
-     let n = Array.length tr.tr_reqs in
+     let n = Array.length tr.tr_t2 in
      let rec find i =
        if i >= n then n - 1 (* at train end: the engine wake is still pending *)
        else if tr.tr_t2.(i) > now then i
@@ -206,9 +205,7 @@ let maybe_abort_train t =
      in
      let i = find 0 in
      let gap = now < tr.tr_t1.(i) in
-     for j = 0 to i - 1 do
-       Resource.account t.wire ~waited:0. ~busy:(tr.tr_t2.(j) -. tr.tr_t1.(j))
-     done;
+     Resource.account_many t.wire ~n:i ~starts:tr.tr_t1 ~ends:tr.tr_t2;
      tr.tr_abort_i <- i;
      tr.tr_abort_gap <- gap;
      if gap then Resource.release t.wire;
@@ -266,7 +263,10 @@ let rec crc_replay t ~work =
    with the exact same sequence of float additions.  The engine sleeps
    until the train's end behind a movable guard; if any process touches
    the wire mid-train, {!maybe_abort_train} rewinds the uncommitted tail
-   to per-packet processing, so contention is byte-identical too. *)
+   to per-packet processing, so contention is byte-identical too.  The
+   schedule is built in one pass over the request list, with the cost
+   knobs read once per train, and allocates nothing per request beyond
+   its two float-array slots. *)
 let sdma_batch t (tx : Sdma.tx) =
   if
     not
@@ -280,21 +280,24 @@ let sdma_batch t (tx : Sdma.tx) =
   then false
   else begin
     let c = Costs.current () in
+    let req_overhead = c.Costs.sdma_request_overhead in
+    let pkt_overhead = c.Costs.packet_overhead_bytes in
+    let bw = c.Costs.link_bandwidth in
     ignore (Resource.acquire t.wire);
-    let reqs = Array.of_list tx.Sdma.requests in
-    let n = Array.length reqs in
-    let t1 = Array.make n 0. in
-    let t2 = Array.make n 0. in
-    let cur = ref (Sim.now t.sim) in
-    for i = 0 to n - 1 do
-      let a = !cur +. c.Costs.sdma_request_overhead in
-      let b = a +. wire_time reqs.(i).Sdma.len in
-      t1.(i) <- a;
-      t2.(i) <- b;
-      cur := b
-    done;
+    let start = Sim.now t.sim in
+    let n = List.length tx.Sdma.requests in
+    let t1 = Array.create_float n in
+    let t2 = Array.create_float n in
+    (* The per-request path's additions in its order, with [wire_time]'s
+       expression verbatim, so every instant has the same bits. *)
+    List.iteri
+      (fun i (r : Sdma.request) ->
+        let a = (if i = 0 then start else t2.(i - 1)) +. req_overhead in
+        t1.(i) <- a;
+        t2.(i) <- a +. (float_of_int (r.Sdma.len + pkt_overhead) /. bw))
+      tx.Sdma.requests;
     let tr =
-      { tr_reqs = reqs; tr_t1 = t1; tr_t2 = t2; tr_gen = 0;
+      { tr_t1 = t1; tr_t2 = t2; tr_gen = 0;
         tr_resume = None; tr_abort_i = -1; tr_abort_gap = false }
     in
     t.train <- Some tr;
@@ -305,9 +308,7 @@ let sdma_batch t (tx : Sdma.tx) =
      | -1 ->
        (* Committed untouched: book every request, in order, and hand the
           wire back at the exact instant the last request would end. *)
-       for i = 0 to n - 1 do
-         Resource.account t.wire ~waited:0. ~busy:(t2.(i) -. t1.(i))
-       done;
+       Resource.account_many t.wire ~n ~starts:t1 ~ends:t2;
        t.train <- None;
        Resource.release t.wire;
        Sim.note_elided t.sim ((2 * n) - 2)
@@ -315,6 +316,7 @@ let sdma_batch t (tx : Sdma.tx) =
        (* Aborted: [t.train] was already cleared; we woke at the exact
           per-packet boundary and continue with the real per-packet code
           (wire contention with the aborter included). *)
+       let reqs = Array.of_list tx.Sdma.requests in
        let per_packet j =
          Resource.use t.wire ~work:(wire_time reqs.(j).Sdma.len) (fun () -> ())
        in

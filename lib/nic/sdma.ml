@@ -51,7 +51,7 @@ type t = {
   mutable bytes_submitted : int;
   mutable txs_completed : int;
   mutable in_flight : int;
-  size_hist : Stats.Summary.t;
+  mutable max_request : int;
   mutable busy : float;
 }
 
@@ -117,7 +117,7 @@ let create sim ~n_engines ~ring_slots ~transmit =
       bytes_submitted = 0;
       txs_completed = 0;
       in_flight = 0;
-      size_hist = Stats.Summary.create ();
+      max_request = 0;
       busy = 0. }
   in
   Array.iteri
@@ -126,16 +126,27 @@ let create sim ~n_engines ~ring_slots ~transmit =
     t.engines;
   t
 
-let submit t tx =
-  List.iter
-    (fun r ->
-      if r.len <= 0 then invalid_arg "Sdma.submit: empty request";
-      if r.len > (Costs.current ()).sdma_max_request then
+(* Validate every request of a tx against the hardware maximum and total
+   them, in one pass: [(requests, bytes, largest request)]. *)
+let scan_requests reqs =
+  let max_len = (Costs.current ()).sdma_max_request in
+  let rec go n bytes largest = function
+    | [] -> (n, bytes, largest)
+    | { len; _ } :: rest ->
+      if len <= 0 then invalid_arg "Sdma.submit: empty request";
+      if len > max_len then
         invalid_arg
           (Printf.sprintf
-             "Sdma.submit: request of %d bytes exceeds hardware max %d"
-             r.len (Costs.current ()).sdma_max_request))
-    tx.requests;
+             "Sdma.submit: request of %d bytes exceeds hardware max %d" len
+             max_len);
+      go (n + 1) (bytes + len) (Int.max largest len) rest
+  in
+  go 0 0 0 reqs
+
+let submit t tx =
+  (* Every check runs before the slot wait: a bad tx raises with no
+     counter moved. *)
+  let n, bytes, largest = scan_requests tx.requests in
   (* Engine selection is per flow (context), like the hfi1 selector:
      one flow's descriptors are processed serially by one engine. *)
   let e = t.engines.(tx.channel mod Array.length t.engines) in
@@ -143,14 +154,11 @@ let submit t tx =
   Ledger.mark t.sim tx.lg ~phase:"slot_wait";
   Ledger.step t.sim ~series:"sdma/inflight" 1;
   t.in_flight <- t.in_flight + 1;
-  List.iter
-    (fun (r : request) ->
-      t.requests_submitted <- t.requests_submitted + 1;
-      t.bytes_submitted <- t.bytes_submitted + r.len;
-      e.e_requests <- e.e_requests + 1;
-      e.e_bytes <- e.e_bytes + r.len;
-      Stats.Summary.add t.size_hist (float_of_int r.len))
-    tx.requests;
+  t.requests_submitted <- t.requests_submitted + n;
+  t.bytes_submitted <- t.bytes_submitted + bytes;
+  t.max_request <- Int.max t.max_request largest;
+  e.e_requests <- e.e_requests + n;
+  e.e_bytes <- e.e_bytes + bytes;
   Mailbox.put e.ring tx
 
 let set_batch t f = t.batch <- f
@@ -194,7 +202,7 @@ let bytes_submitted t = t.bytes_submitted
 
 let txs_completed t = t.txs_completed
 
-let request_size_hist t = t.size_hist
+let max_request_bytes t = t.max_request
 
 let busy_ns t = t.busy
 

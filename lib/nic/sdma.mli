@@ -93,10 +93,11 @@ val bytes_submitted : t -> int
 
 val txs_completed : t -> int
 
-(** Distribution of request sizes — the instrumentation used in the paper
-    to verify that Linux submits only 4 kB requests while the PicoDriver
-    reaches the 10 kB maximum. *)
-val request_size_hist : t -> Stats.Summary.t
+(** Largest request submitted so far (0 before the first) — the
+    instrumentation used in the paper to verify that Linux submits only
+    4 kB requests while the PicoDriver reaches the 10 kB maximum.  The
+    mean request size is [bytes_submitted / requests_submitted]. *)
+val max_request_bytes : t -> int
 
 (** Busy time summed over engines (for utilisation reporting). *)
 val busy_ns : t -> float

@@ -254,32 +254,35 @@ let fast_tid_free t (p : Mck.pctx) (file : Vfs.file) ~arg =
 
 (* --- attach ------------------------------------------------------------ *)
 
-let load_accessors sections =
+let load_accessors parsed =
   let ( let* ) = Result.bind in
   let* filedata =
-    Struct_access.load sections ~struct_name:"hfi1_filedata"
+    Struct_access.load_parsed parsed ~struct_name:"hfi1_filedata"
       ~fields:[ "dd"; "uctxt" ]
   in
   let* ctxtdata =
-    Struct_access.load sections ~struct_name:"hfi1_ctxtdata"
+    Struct_access.load_parsed parsed ~struct_name:"hfi1_ctxtdata"
       ~fields:[ "ctxt"; "dd" ]
   in
   let* devdata =
-    Struct_access.load sections ~struct_name:"hfi1_devdata"
+    Struct_access.load_parsed parsed ~struct_name:"hfi1_devdata"
       ~fields:[ "unit"; "num_sdma"; "per_sdma" ]
   in
   let* sdma_state =
-    Struct_access.load sections ~struct_name:"sdma_state"
+    Struct_access.load_parsed parsed ~struct_name:"sdma_state"
       ~fields:[ "current_state"; "go_s99_running"; "previous_state" ]
   in
   Ok { filedata; ctxtdata; devdata; sdma_state }
 
 let attach mck ~linux_driver ~module_sections =
-  match load_accessors module_sections with
+  (* One parse of the module's DWARF serves every accessor and the
+     enumerator lookup. *)
+  let parsed = Encode.parse module_sections in
+  match load_accessors parsed with
   | Error e -> Error ("hfi1-pico: DWARF extraction failed: " ^ e)
   | Ok acc ->
     let s99_running =
-      Extract.enum_value (Encode.parse module_sections) ~enum:"sdma_states"
+      Extract.enum_value parsed ~enum:"sdma_states"
         ~enumerator:"sdma_state_s99_running"
     in
     (* Sanity: the devdata we will dereference matches this device. *)

@@ -2,11 +2,11 @@ open Pd_import
 
 type t = { ex : Extract.extraction }
 
+let load_parsed parsed ~struct_name ~fields =
+  Result.map (fun ex -> { ex }) (Extract.extract parsed ~struct_name ~fields)
+
 let load sections ~struct_name ~fields =
-  let parsed = Encode.parse sections in
-  match Extract.extract parsed ~struct_name ~fields with
-  | Ok ex -> Ok { ex }
-  | Error e -> Error e
+  load_parsed (Encode.parse sections) ~struct_name ~fields
 
 let struct_name t = t.ex.Extract.e_struct
 

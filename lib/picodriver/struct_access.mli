@@ -12,8 +12,18 @@ open Pd_import
 
 type t
 
-(** [load sections ~struct_name ~fields] runs dwarf-extract-struct and
-    wraps the result. *)
+(** [load_parsed parsed ~struct_name ~fields] runs dwarf-extract-struct
+    over already-parsed sections and wraps the result.  A driver that
+    needs several structures parses the module once and loads each from
+    the same parse, as the paper's tool reads the binary once. *)
+val load_parsed :
+  Encode.parsed ->
+  struct_name:string ->
+  fields:string list ->
+  (t, string) result
+
+(** [load sections ~struct_name ~fields] is [load_parsed] on
+    [Encode.parse sections]. *)
 val load :
   Encode.sections ->
   struct_name:string ->

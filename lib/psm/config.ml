@@ -6,6 +6,11 @@ let pipeline_depth = ref 2
 
 let tid_cache = ref false
 
+let with_tid_cache on f =
+  let saved = !tid_cache in
+  tid_cache := on;
+  Fun.protect ~finally:(fun () -> tid_cache := saved) f
+
 let reset () =
   eager_threshold := 65536;
   window_size := 1024 * 1024;

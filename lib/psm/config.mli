@@ -21,4 +21,8 @@ val pipeline_depth : int ref
     McKernel penalty is registration traffic. *)
 val tid_cache : bool ref
 
+(** [with_tid_cache on f] runs [f] with {!tid_cache} set to [on] and
+    restores the previous setting when [f] returns or raises. *)
+val with_tid_cache : bool -> (unit -> 'a) -> 'a
+
 val reset : unit -> unit

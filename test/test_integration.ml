@@ -50,10 +50,10 @@ let test_request_sizes_per_os () =
   let _, cl_hfi = pingpong_mbps Cluster.Mckernel_hfi ~size:(1 lsl 20) in
   let max_req cl =
     let env = Cluster.node_env cl 0 in
-    Stats.Summary.max (Sdma.request_size_hist (Hfi.sdma env.Cluster.hfi))
+    Sdma.max_request_bytes (Hfi.sdma env.Cluster.hfi)
   in
-  Alcotest.(check (float 0.1)) "Linux capped at PAGE_SIZE" 4096. (max_req cl_linux);
-  Alcotest.(check (float 0.1)) "PicoDriver reaches hw max" 10240. (max_req cl_hfi)
+  Alcotest.(check int) "Linux capped at PAGE_SIZE" 4096 (max_req cl_linux);
+  Alcotest.(check int) "PicoDriver reaches hw max" 10240 (max_req cl_hfi)
 
 let run_app kind ~nodes ~rpn app =
   let cl = Cluster.build kind ~n_nodes:nodes () in

@@ -103,6 +103,27 @@ let test_sdma_oversize_rejected () =
          with Invalid_argument _ -> true));
   ignore (Sim.run sim)
 
+let test_sdma_bad_tx_moves_nothing () =
+  let sim = Sim.create () in
+  let s, transmitted = mk_sdma sim in
+  Sim.spawn sim (fun () ->
+      Alcotest.(check bool) "oversize second request raises" true
+        (try
+           Sdma.submit s
+             { Sdma.tx_id = 0; channel = 0;
+               requests =
+                 [ { Sdma.pa = 0; len = 4096 }; { Sdma.pa = 4096; len = 20_000 } ];
+               total_bytes = 24_096; on_complete = (fun () -> ());
+               lg = Ledger.null };
+           false
+         with Invalid_argument _ -> true));
+  ignore (Sim.run sim);
+  Alcotest.(check int) "requests" 0 (Sdma.requests_submitted s);
+  Alcotest.(check int) "bytes" 0 (Sdma.bytes_submitted s);
+  Alcotest.(check int) "largest request" 0 (Sdma.max_request_bytes s);
+  Alcotest.(check int) "in flight" 0 (Sdma.in_flight s);
+  Alcotest.(check int) "nothing transmitted" 0 (List.length !transmitted)
+
 let test_sdma_empty_rejected () =
   let sim = Sim.create () in
   let s, _ = mk_sdma sim in
@@ -195,8 +216,7 @@ let test_sdma_stats () =
   Alcotest.(check int) "requests" 2 (Sdma.requests_submitted s);
   Alcotest.(check int) "bytes" 6144 (Sdma.bytes_submitted s);
   Alcotest.(check int) "txs" 1 (Sdma.txs_completed s);
-  check_float "mean request" 3072.
-    (Stats.Summary.mean (Sdma.request_size_hist s))
+  Alcotest.(check int) "largest request" 4096 (Sdma.max_request_bytes s)
 
 let test_sdma_ring_backpressure () =
   let sim = Sim.create () in
@@ -451,6 +471,7 @@ type outcome = {
   o_packets : int;
   o_bytes : int;
   o_busy : float;
+  o_wait : float;
   o_served : int;
   o_elided : int;
 }
@@ -483,6 +504,7 @@ let run_scenario ~batching f =
         o_packets = Fabric.packets_delivered fab;
         o_bytes = Fabric.bytes_delivered fab;
         o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire h0);
+        o_wait = Pico_engine.Resource.total_wait_ns (Hfi.wire h0);
         o_served = Pico_engine.Resource.total_served (Hfi.wire h0);
         o_elided = Sim.events_elided sim })
 
@@ -494,6 +516,7 @@ let check_equiv name scenario =
   exact (name ^ ": completion") per_packet.o_complete batched.o_complete;
   exact (name ^ ": pio done") per_packet.o_pio_done batched.o_pio_done;
   exact (name ^ ": wire busy") per_packet.o_busy batched.o_busy;
+  exact (name ^ ": wire wait") per_packet.o_wait batched.o_wait;
   Alcotest.(check int)
     (name ^ ": packets") per_packet.o_packets batched.o_packets;
   Alcotest.(check int) (name ^ ": bytes") per_packet.o_bytes batched.o_bytes;
@@ -501,6 +524,10 @@ let check_equiv name scenario =
   Alcotest.(check int) (name ^ ": nothing elided per-packet") 0
     per_packet.o_elided;
   batched
+
+(* The qcheck laws' form of [check_equiv]: every field but the elided
+   count agrees. *)
+let same_outcome a b = { a with o_elided = b.o_elided } = b
 
 let pio_scenario len sim h0 _n0 dst_ctx _complete pio_done =
   Sim.spawn sim (fun () ->
@@ -583,7 +610,14 @@ let test_batching_sdma_equiv () =
   let b = check_equiv "sdma 1 req" (sdma_scenario [ 8192 ]) in
   Alcotest.(check bool) "1-req train elides" true (b.o_elided >= 0);
   let b = check_equiv "sdma 4 reqs" (sdma_scenario [ 8192; 8192; 4096; 500 ]) in
-  Alcotest.(check bool) "4-req train elides" true (b.o_elided > 0)
+  Alcotest.(check bool) "4-req train elides" true (b.o_elided > 0);
+  (* Uneven sizes, from 1 byte to the hardware maximum: the one-call
+     booking must sum the wire intervals in the per-packet order. *)
+  let b =
+    check_equiv "sdma uneven"
+      (sdma_scenario [ 1; 4095; 10240; 17; 4096; 8191 ])
+  in
+  Alcotest.(check bool) "uneven train elides" true (b.o_elided > 0)
 
 let test_batching_midtrain_sweep () =
   let lens = [ 8192; 8192; 4096; 8192 ] in
@@ -670,10 +704,7 @@ let prop_batching_pio_midtrain =
       let scenario = pio_midtrain_scenario ~d ~clen ~via_sdma ~len in
       let a = run_scenario ~batching:false scenario in
       let b = run_scenario ~batching:true scenario in
-      a.o_end = b.o_end && a.o_complete = b.o_complete
-      && a.o_pio_done = b.o_pio_done
-      && a.o_packets = b.o_packets && a.o_bytes = b.o_bytes
-      && a.o_busy = b.o_busy && a.o_served = b.o_served)
+      same_outcome a b)
 
 let test_batching_midtrain_halt () =
   let lens = [ 8192; 8192; 4096; 8192 ] in
@@ -702,10 +733,7 @@ let prop_batching_midtrain_halt =
       let scenario = halt_scenario ~d ~dwell lens in
       let a = run_scenario ~batching:false scenario in
       let b = run_scenario ~batching:true scenario in
-      a.o_end = b.o_end && a.o_complete = b.o_complete
-      && a.o_pio_done = b.o_pio_done
-      && a.o_packets = b.o_packets && a.o_bytes = b.o_bytes
-      && a.o_busy = b.o_busy && a.o_served = b.o_served)
+      same_outcome a b)
 
 let prop_batching_midtrain =
   QCheck2.Test.make
@@ -722,10 +750,7 @@ let prop_batching_midtrain =
       let scenario = midtrain_scenario ~d ~pio_len ~via_sdma lens in
       let a = run_scenario ~batching:false scenario in
       let b = run_scenario ~batching:true scenario in
-      a.o_end = b.o_end && a.o_complete = b.o_complete
-      && a.o_pio_done = b.o_pio_done
-      && a.o_packets = b.o_packets && a.o_bytes = b.o_bytes
-      && a.o_busy = b.o_busy && a.o_served = b.o_served)
+      same_outcome a b)
 
 (* --- Batching under a fat-tree topology ------------------------------------- *)
 
@@ -769,6 +794,7 @@ let run_ft_scenario ~batching f =
           o_packets = Fabric.packets_delivered fab;
           o_bytes = Fabric.bytes_delivered fab;
           o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
+          o_wait = Pico_engine.Resource.total_wait_ns (Hfi.wire hfis.(0));
           o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
           o_elided = Sim.events_elided sim },
         Hfi.train_aborts hfis.(0),
@@ -782,6 +808,7 @@ let check_ft_equiv name scenario =
   exact (name ^ ": completion") per_packet.o_complete batched.o_complete;
   exact (name ^ ": pio done") per_packet.o_pio_done batched.o_pio_done;
   exact (name ^ ": wire busy") per_packet.o_busy batched.o_busy;
+  exact (name ^ ": wire wait") per_packet.o_wait batched.o_wait;
   Alcotest.(check int)
     (name ^ ": packets") per_packet.o_packets batched.o_packets;
   Alcotest.(check int) (name ^ ": bytes") per_packet.o_bytes batched.o_bytes;
@@ -893,6 +920,7 @@ let run_ft_park_scenario ~batching lens =
               o_packets = Fabric.packets_delivered fab;
               o_bytes = Fabric.bytes_delivered fab;
               o_busy = Pico_engine.Resource.total_busy_ns (Hfi.wire hfis.(0));
+              o_wait = Pico_engine.Resource.total_wait_ns (Hfi.wire hfis.(0));
               o_served = Pico_engine.Resource.total_served (Hfi.wire hfis.(0));
               o_elided = Sim.events_elided sim },
             fs.Fabric.fs_parks,
@@ -912,6 +940,7 @@ let test_batching_midtrain_link_park () =
   exact "park: end time" pp.o_end b.o_end;
   exact "park: completion" pp.o_complete b.o_complete;
   exact "park: wire busy" pp.o_busy b.o_busy;
+  exact "park: wire wait" pp.o_wait b.o_wait;
   Alcotest.(check int) "park: packets" pp.o_packets b.o_packets;
   Alcotest.(check int) "park: bytes" pp.o_bytes b.o_bytes;
   Alcotest.(check int) "park: served" pp.o_served b.o_served
@@ -929,6 +958,8 @@ let () =
            test_fabric_in_order_delivery ]);
       ("sdma",
        [ Alcotest.test_case "oversize rejected" `Quick test_sdma_oversize_rejected;
+         Alcotest.test_case "bad tx moves no counter" `Quick
+           test_sdma_bad_tx_moves_nothing;
          Alcotest.test_case "empty rejected" `Quick test_sdma_empty_rejected;
          Alcotest.test_case "halt parks engine" `Quick
            test_sdma_halt_parks_engine;

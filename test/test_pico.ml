@@ -375,8 +375,8 @@ let test_pico_fast_path_end_to_end () =
     (Hfi1_pico.big_requests p > 0);
   (* Request sizes: all but the remainder at the 10 kB hardware max. *)
   let sdma = Hfi.sdma (Hfi1_driver.hfi driver) in
-  Alcotest.(check (float 0.1)) "max request 10240" 10240.
-    (Stats.Summary.max (Sdma.request_size_hist sdma));
+  Alcotest.(check int) "max request 10240" 10240
+    (Sdma.max_request_bytes sdma);
   (* The duplicated callback freed metadata via the remote queue. *)
   let mem = Mck.mem mck in
   Alcotest.(check bool) "remote free queued or drained" true

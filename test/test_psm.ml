@@ -267,55 +267,61 @@ let test_counters () =
 
 let test_tid_cache_reuses_registrations () =
   let ok = ref false in
-  let ioctls = ref (-1) in
+  let first = ref (-1) and second = ref (-1) in
   let len = 256 * 1024 in
-  Config.tid_cache := true;
-  (try
-     run_pair (fun comm ->
-         let ep = comm.Comm.ep in
-         let buf = alloc comm len in
-         if comm.Comm.rank = 0 then begin
-           write comm buf (pattern 4 len);
-           Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:8L ~va:buf ~len);
-           write comm buf (pattern 6 len);
-           Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:8L ~va:buf ~len)
-         end
-         else begin
-           (* Same buffer both times: the second transfer reuses the
-              cached registration (one TID_UPDATE total, no TID_FREE). *)
-           Endpoint.wait ep
-             (Endpoint.irecv ep ~src:(Some 0) ~tag:8L ~va:buf ~len ());
-           Endpoint.wait ep
-             (Endpoint.irecv ep ~src:(Some 0) ~tag:8L ~va:buf ~len ());
-           ok := read comm buf len = pattern 6 len;
-           ioctls :=
-             Pico_engine.Stats.Registry.count_of comm.Comm.profile "x" * 0
-         end;
-         Pico_mpi.Collectives.barrier comm)
-   with e -> Config.tid_cache := false; raise e);
-  Config.tid_cache := false;
-  ignore !ioctls;
-  Alcotest.(check bool) "second transfer intact via cached TIDs" true !ok
+  let cl = H.Cluster.build H.Cluster.Linux ~n_nodes:2 ~carry_payload:true () in
+  (* Receiver-side driver calls: TID_UPDATE and TID_FREE are ioctls. *)
+  let ioctls () =
+    Pico_linux.Hfi1_driver.ioctl_calls (H.Cluster.node_env cl 1).H.Cluster.driver
+  in
+  Config.with_tid_cache true (fun () ->
+      ignore
+        (H.Experiment.run cl ~ranks_per_node:1 (fun comm ->
+             let ep = comm.Comm.ep in
+             let buf = alloc comm len in
+             if comm.Comm.rank = 0 then begin
+               write comm buf (pattern 4 len);
+               Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:8L ~va:buf ~len);
+               write comm buf (pattern 6 len);
+               Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:8L ~va:buf ~len)
+             end
+             else begin
+               (* Same buffer both times: the second transfer reuses the
+                  cached registration (one TID_UPDATE total, no TID_FREE). *)
+               let before = ioctls () in
+               Endpoint.wait ep
+                 (Endpoint.irecv ep ~src:(Some 0) ~tag:8L ~va:buf ~len ());
+               let mid = ioctls () in
+               Endpoint.wait ep
+                 (Endpoint.irecv ep ~src:(Some 0) ~tag:8L ~va:buf ~len ());
+               first := mid - before;
+               second := ioctls () - mid;
+               ok := read comm buf len = pattern 6 len
+             end;
+             Pico_mpi.Collectives.barrier comm;
+             0.)));
+  Alcotest.(check bool) "second transfer intact via cached TIDs" true !ok;
+  Alcotest.(check int) "first transfer: one TID_UPDATE, no TID_FREE" 1 !first;
+  Alcotest.(check int) "second transfer: no driver call" 0 !second
 
 let test_tid_cache_fewer_driver_calls () =
   let count_ioctls cache =
-    Config.tid_cache := cache;
     let cl = H.Cluster.build H.Cluster.Linux ~n_nodes:2 ~carry_payload:false () in
     let len = 256 * 1024 in
-    ignore
-      (H.Experiment.run cl ~ranks_per_node:1 (fun comm ->
-           let ep = comm.Comm.ep in
-           let buf = alloc comm len in
-           for _ = 1 to 5 do
-             if comm.Comm.rank = 0 then
-               Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:9L ~va:buf ~len)
-             else
-               Endpoint.wait ep
-                 (Endpoint.irecv ep ~src:(Some 0) ~tag:9L ~va:buf ~len ())
-           done;
-           Pico_mpi.Collectives.barrier comm;
-           0.));
-    Config.tid_cache := false;
+    Config.with_tid_cache cache (fun () ->
+        ignore
+          (H.Experiment.run cl ~ranks_per_node:1 (fun comm ->
+               let ep = comm.Comm.ep in
+               let buf = alloc comm len in
+               for _ = 1 to 5 do
+                 if comm.Comm.rank = 0 then
+                   Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:9L ~va:buf ~len)
+                 else
+                   Endpoint.wait ep
+                     (Endpoint.irecv ep ~src:(Some 0) ~tag:9L ~va:buf ~len ())
+               done;
+               Pico_mpi.Collectives.barrier comm;
+               0.)));
     let env = H.Cluster.node_env cl 1 in
     Pico_linux.Hfi1_driver.ioctl_calls env.H.Cluster.driver
   in
@@ -325,6 +331,17 @@ let test_tid_cache_fewer_driver_calls () =
     (Printf.sprintf "cache cuts driver ioctls (%d -> %d)" without with_cache)
     true
     (with_cache < without / 2)
+
+let test_with_tid_cache_restores_on_exception () =
+  Alcotest.(check bool) "off by default" false !Config.tid_cache;
+  (match
+     Config.with_tid_cache true (fun () ->
+         Alcotest.(check bool) "on inside" true !Config.tid_cache;
+         failwith "boom")
+   with
+   | () -> Alcotest.fail "the exception was swallowed"
+   | exception Failure _ -> ());
+  Alcotest.(check bool) "off again after the exception" false !Config.tid_cache
 
 let test_rcvarray_exhaustion_fallback () =
   (* Shrink the RcvArray so every TID registration fails: the rendezvous
@@ -443,6 +460,8 @@ let () =
            test_tid_cache_reuses_registrations;
          Alcotest.test_case "tid cache fewer ioctls" `Quick
            test_tid_cache_fewer_driver_calls;
+         Alcotest.test_case "tid cache toggle restored on exception" `Quick
+           test_with_tid_cache_restores_on_exception;
          Alcotest.test_case "rcvarray exhaustion fallback" `Quick
            test_rcvarray_exhaustion_fallback;
          QCheck_alcotest.to_alcotest prop_random_message_plan ]) ]
