@@ -113,6 +113,50 @@ let rec pa_in table va level =
 
 let pa_of t va = pa_in t.root va 3
 
+(* [pa_in]'s descent to the PMD entry covering [va]: a 2 MB leaf or the
+   leaf table of its 512 4 kB pages. *)
+let pmd_entry t va =
+  match t.root.(index va 3) with
+  | Table pud -> (
+      match pud.(index va 2) with
+      | Table pmd -> pmd.(index va 1)
+      | Empty | Leaf _ -> raise (Not_mapped va))
+  | Empty | Leaf _ -> raise (Not_mapped va)
+
+(* GUP's page-run walk: one descent per leaf table or 2 MB leaf, each
+   answering the PAs of all its pages in the run.  Runs fill from the
+   last page down, so a hole raises the highest unmapped page — the one a
+   last-to-first loop of [pa_of] meets first. *)
+let page_pas t ~va ~n =
+  if not (Addr.is_aligned va Addr.page_size) then
+    invalid_arg "Pagetable.page_pas: va not page-aligned";
+  let pas = Array.make n 0 in
+  let rec fill hi =
+    if hi >= 0 then begin
+      let top = va + (hi * Addr.page_size) in
+      let region = Addr.align_down top Addr.large_page_size in
+      (* Pages [lo, hi] of the run share [top]'s PMD entry. *)
+      let lo = Int.max 0 ((region - va) / Addr.page_size) in
+      (match pmd_entry t top with
+       | Leaf { pa; page_size; _ } when page_size = Addr.large_page_size ->
+         for k = hi downto lo do
+           pas.(k) <- pa + (va + (k * Addr.page_size) - region)
+         done
+       | Table pte ->
+         for k = hi downto lo do
+           let page_va = va + (k * Addr.page_size) in
+           match pte.(index page_va 0) with
+           | Leaf { pa; page_size; _ } when page_size = Addr.page_size ->
+             pas.(k) <- pa
+           | Empty | Leaf _ | Table _ -> raise (Not_mapped page_va)
+         done
+       | Empty | Leaf _ -> raise (Not_mapped top));
+      fill (lo - 1)
+    end
+  in
+  fill (n - 1);
+  pas
+
 let unmap t ~va =
   let rec descend table level =
     let i = index va level in

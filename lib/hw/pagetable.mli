@@ -68,6 +68,15 @@ val translate : t -> Addr.t -> mapping option
     @raise Not_mapped *)
 val pa_of : t -> Addr.t -> Addr.t
 
+(** [page_pas t ~va ~n] is the physical address of each of the [n] 4 kB
+    pages from the page-aligned [va] on, in VA order: [pa_of] of every
+    page, found by one descent per leaf table or 2 MB leaf instead of
+    four levels per page.  This is get_user_pages()'s walk.
+    @raise Not_mapped naming the highest unmapped page of the run (the
+    page a last-to-first [pa_of] loop would fail on)
+    @raise Invalid_argument if [va] is not page-aligned *)
+val page_pas : t -> va:Addr.t -> n:int -> Addr.t array
+
 (** [phys_segments t ~va ~len] walks the tables over [\[va, va+len)] and
     returns the backing physical ranges [(pa, seg_len, flags)] in order,
     {b coalescing physically-contiguous pages} — including runs that cross

@@ -1,10 +1,5 @@
 open Linux_import
 
-type pin = {
-  pa : Addr.t;
-  va : Addr.t;
-}
-
 type t = {
   sim : Sim.t;
   mutable pinned : int;
@@ -25,20 +20,15 @@ let get_user_pages t ~pt ~va ~len =
      op's own [begin, end] interval. *)
   let lg = Ledger.begin_ t.sim ~op:"gup/get_user_pages" in
   charge t (float_of_int n *. (Costs.current ()).gup_per_page);
-  let pins = ref [] in
-  for i = n - 1 downto 0 do
-    let page_va = first + (i * Addr.page_size) in
-    let pa = Pagetable.pa_of pt page_va in
-    pins := { pa = Addr.align_down pa Addr.page_size; va = page_va } :: !pins
-  done;
+  let pages = Pagetable.page_pas pt ~va:first ~n in
   t.pinned <- t.pinned + n;
   t.total <- t.total + n;
   Span.end_with t.sim sp (fun () -> [ ("pages", string_of_int n) ]);
   Ledger.close t.sim lg ~phase:"pin";
-  !pins
+  pages
 
-let put_pages t pins =
-  let n = List.length pins in
+let put_pages t pages =
+  let n = Array.length pages in
   charge t (float_of_int n *. ((Costs.current ()).gup_per_page /. 4.));
   t.pinned <- t.pinned - n
 

@@ -11,10 +11,11 @@ type t = {
   sdma_lock : Spinlock.t;
   tid_lock : Spinlock.t;
   (* Send-side pin cache, like the real driver's SDMA pinning cache:
-     keyed by (pid, va, len). *)
-  pin_cache : (int * Addr.t * int, Gup.pin list) Hashtbl.t;
-  (* TID run -> pins taken at TID_UPDATE time. *)
-  tid_pins : (int, int * Gup.pin list) Hashtbl.t;
+     keyed by (pid, va, len), holding the pinned buffer's requests so a
+     cached send rebuilds nothing. *)
+  pin_cache : (int * Addr.t * int, Extent.t) Hashtbl.t;
+  (* TID run -> pages pinned at TID_UPDATE time. *)
+  tid_pins : (int, int * Addr.t array) Hashtbl.t;
   mutable writev_calls : int;
   mutable ioctl_calls : int;
   mutable opens : int;
@@ -85,32 +86,22 @@ let do_open t file (_caller : Vfs.caller) =
     ~base_va:fd_va "uctxt" (Int64.of_int ctxt_va);
   file.Vfs.private_data <- fd_va
 
-let pins_for t (caller : Vfs.caller) ~va ~len =
+(* Pin a send buffer and build its SDMA requests from the pinned 4 kB
+   pages: one request per page — the driver "utilizes only up to
+   PAGE_SIZE long SDMA requests" even when neighbouring pages happen to
+   be physically adjacent. *)
+let requests_for t (caller : Vfs.caller) ~va ~len =
   let key = (caller.Vfs.pid, va, len) in
   match Hashtbl.find_opt t.pin_cache key with
-  | Some pins ->
+  | Some reqs ->
     (* Cache hit: pay a lookup, not a walk. *)
     Sim.delay t.sim 60.;
-    pins
+    reqs
   | None ->
-    let pins = Gup.get_user_pages t.gup ~pt:caller.Vfs.pt ~va ~len in
-    Hashtbl.add t.pin_cache key pins;
-    pins
-
-(* Build SDMA requests from pinned 4 kB pages.  One request per page —
-   the driver "utilizes only up to PAGE_SIZE long SDMA requests" even when
-   neighbouring pages happen to be physically adjacent. *)
-let requests_of_pins ~va ~len (pins : Gup.pin list) : Sdma.request list =
-  let first_off = Addr.offset_in_page va in
-  let[@tail_mod_cons] rec go pins covered =
-    match pins with
-    | (p : Gup.pin) :: rest when covered < len ->
-      let page_off = if covered = 0 then first_off else 0 in
-      let take = Int.min (Addr.page_size - page_off) (len - covered) in
-      { Sdma.pa = p.Gup.pa + page_off; len = take } :: go rest (covered + take)
-    | _ -> []
-  in
-  go pins 0
+    let pages = Gup.get_user_pages t.gup ~pt:caller.Vfs.pt ~va ~len in
+    let reqs = Extent.of_cut (Extent.Pages { pages; va; len }) in
+    Hashtbl.add t.pin_cache key reqs;
+    reqs
 
 let do_writev t file (caller : Vfs.caller) (iovs : Vfs.iovec list) =
   t.writev_calls <- t.writev_calls + 1;
@@ -134,14 +125,15 @@ let do_writev t file (caller : Vfs.caller) (iovs : Vfs.iovec list) =
     let all_reqs, total =
       List.fold_left
         (fun (acc, total) (iov : Vfs.iovec) ->
-          let pins = pins_for t caller ~va:iov.Vfs.iov_base ~len:iov.Vfs.iov_len in
-          let reqs = requests_of_pins ~va:iov.Vfs.iov_base ~len:iov.Vfs.iov_len pins in
+          let reqs =
+            requests_for t caller ~va:iov.Vfs.iov_base ~len:iov.Vfs.iov_len
+          in
           Sim.delay t.sim
-            (float_of_int (List.length reqs) *. request_build_per_page);
-          (acc @ reqs, total + iov.Vfs.iov_len))
-        ([], 0) data_iovs
+            (float_of_int (Extent.count reqs) *. request_build_per_page);
+          (Extent.append acc reqs, total + iov.Vfs.iov_len))
+        (Extent.empty, 0) data_iovs
     in
-    if all_reqs = [] then 0
+    if Extent.count all_reqs = 0 then 0
     else begin
       (* Per-request metadata (sdma_txreq) with a completion callback that
          frees it from the IRQ handler. *)
@@ -160,19 +152,6 @@ let do_writev t file (caller : Vfs.caller) (iovs : Vfs.iovec list) =
             ~dst_ctx:req.User_api.dst_ctx ~hdr ~reqs:all_reqs ~on_complete ());
       total
     end
-
-let entries_of_pins ~va ~len (pins : Gup.pin list) : Rcvarray.entry list =
-  let first_off = Addr.offset_in_page va in
-  let[@tail_mod_cons] rec go pins covered =
-    match pins with
-    | (p : Gup.pin) :: rest when covered < len ->
-      let page_off = if covered = 0 then first_off else 0 in
-      let take = Int.min (Addr.page_size - page_off) (len - covered) in
-      { Rcvarray.pa = p.Gup.pa + page_off; len = take }
-      :: go rest (covered + take)
-    | _ -> []
-  in
-  go pins 0
 
 let note_tid_pins t ~tid_base ~count pins =
   Hashtbl.replace t.tid_pins tid_base (count, pins)
@@ -195,20 +174,22 @@ let do_tid_update t file (caller : Vfs.caller) ~arg =
     | None -> invalid_arg "hfi1: TID_UPDATE without open context"
   in
   (* Pin the destination buffer and program one RcvArray entry per 4 kB
-     page. *)
-  let pins =
+     page, written straight from the pinned pages. *)
+  let pages =
     Gup.get_user_pages t.gup ~pt:caller.Vfs.pt ~va:tu.User_api.tu_va
       ~len:tu.User_api.tu_len
   in
-  let entries = entries_of_pins ~va:tu.User_api.tu_va ~len:tu.User_api.tu_len pins in
+  let cut =
+    Extent.Pages { pages; va = tu.User_api.tu_va; len = tu.User_api.tu_len }
+  in
   Spinlock.with_lock t.tid_lock (fun () ->
-      match Rcvarray.program (Hfi.rcvarray ctx) entries with
+      match Rcvarray.program (Hfi.rcvarray ctx) cut with
       | Some tid_base ->
-        let count = List.length entries in
-        note_tid_pins t ~tid_base ~count pins;
+        let count = Extent.cut_count cut in
+        note_tid_pins t ~tid_base ~count pages;
         tid_base lor (count lsl 16)
       | None ->
-        Gup.put_pages t.gup pins;
+        Gup.put_pages t.gup pages;
         -1 (* -ENOSPC *))
 
 let do_tid_free t file (caller : Vfs.caller) ~arg =
@@ -227,7 +208,7 @@ let do_tid_free t file (caller : Vfs.caller) ~arg =
       Rcvarray.unprogram (Hfi.rcvarray ctx) ~tid_base:tf.User_api.tf_tid_base
         ~count:tf.User_api.tf_count;
       (match take_tid_pins t ~tid_base:tf.User_api.tf_tid_base with
-       | Some (_count, pins) -> Gup.put_pages t.gup pins
+       | Some (_count, pages) -> Gup.put_pages t.gup pages
        | None -> ());
       0)
 

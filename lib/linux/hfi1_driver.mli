@@ -51,9 +51,9 @@ val context_of_file : t -> Vfs.file -> Hfi.ctx option
 
 (** Per-tid-run pin bookkeeping shared by TID_FREE and the PicoDriver's
     local TID path. *)
-val note_tid_pins : t -> tid_base:int -> count:int -> Gup.pin list -> unit
+val note_tid_pins : t -> tid_base:int -> count:int -> Addr.t array -> unit
 
-val take_tid_pins : t -> tid_base:int -> (int * Gup.pin list) option
+val take_tid_pins : t -> tid_base:int -> (int * Addr.t array) option
 
 (** {2 SDMA halt / recovery (Listing 1 in motion)}
 

@@ -17,6 +17,7 @@ module Irq = Pico_hw.Irq
 module Node = Pico_hw.Node
 module Wire = Pico_nic.Wire
 module Fabric = Pico_nic.Fabric
+module Extent = Pico_nic.Extent
 module Sdma = Pico_nic.Sdma
 module Rcvarray = Pico_nic.Rcvarray
 module Hfi = Pico_nic.Hfi

@@ -29,7 +29,7 @@ let decode_reg_mr b =
 
 type mr = {
   lkey : int;
-  mr_pa_list : (Addr.t * int) list;
+  mr_mtt : Extent.t;
   mr_pinned_pages : int;
 }
 
@@ -39,7 +39,7 @@ type t = {
   slab : Slab.t;
   gup : Gup.t;
   lock : Spinlock.t;
-  mrs : (int, mr * Gup.pin list) Hashtbl.t;
+  mrs : (int, mr * Addr.t array) Hashtbl.t;
   mutable next_lkey : int;
   mutable reg_calls : int;
   mutable dereg_calls : int;
@@ -52,13 +52,13 @@ let mtt_entry_write = 25.
 
 let misc_work = 700.
 
-let install_mr t ~pa_list ~pinned_pages =
+let install_mr t ~mtt ~pinned_pages =
   let lkey = t.next_lkey in
   t.next_lkey <- lkey + 1;
   if Sim.in_process t.sim then
-    Sim.delay t.sim (float_of_int (List.length pa_list) *. mtt_entry_write);
+    Sim.delay t.sim (float_of_int (Extent.count mtt) *. mtt_entry_write);
   Hashtbl.replace t.mrs lkey
-    ({ lkey; mr_pa_list = pa_list; mr_pinned_pages = pinned_pages }, []);
+    ({ lkey; mr_mtt = mtt; mr_pinned_pages = pinned_pages }, [||]);
   lkey
 
 let lookup_mr t ~lkey =
@@ -66,11 +66,11 @@ let lookup_mr t ~lkey =
 
 let remove_mr t ~lkey =
   match Hashtbl.find_opt t.mrs lkey with
-  | Some (mr, pins) ->
+  | Some (mr, pages) ->
     Hashtbl.remove t.mrs lkey;
-    if pins <> [] then Gup.put_pages t.gup pins;
+    if Array.length pages > 0 then Gup.put_pages t.gup pages;
     if Sim.in_process t.sim then
-      Sim.delay t.sim (float_of_int (List.length mr.mr_pa_list) *. mtt_entry_write);
+      Sim.delay t.sim (float_of_int (Extent.count mr.mr_mtt) *. mtt_entry_write);
     mr
   | None -> invalid_arg (Printf.sprintf "Mlx_driver: unknown lkey %d" lkey)
 
@@ -91,24 +91,25 @@ let do_reg_mr t (caller : Vfs.caller) ~arg =
     decode_reg_mr
       (Umem.copy_from_user t.node ~pt:caller.Vfs.pt ~va:arg ~len:reg_mr_bytes)
   in
-  let pins =
+  let pages =
     Gup.get_user_pages t.gup ~pt:caller.Vfs.pt ~va:cmd.mr_va ~len:cmd.mr_len
   in
-  let first_off = Addr.offset_in_page cmd.mr_va in
-  let pa_list =
-    List.mapi
-      (fun i (p : Gup.pin) ->
-        if i = 0 then (p.Gup.pa + first_off, Addr.page_size - first_off)
-        else (p.Gup.pa, Addr.page_size))
-      pins
+  (* MTT entries map whole pages: the range runs to the end of the last
+     pinned page. *)
+  let mtt =
+    Extent.of_cut
+      (Extent.Pages
+         { pages; va = cmd.mr_va;
+           len =
+             (Array.length pages * Addr.page_size)
+             - Addr.offset_in_page cmd.mr_va })
   in
   Spinlock.with_lock t.lock (fun () ->
       let lkey = t.next_lkey in
       t.next_lkey <- lkey + 1;
-      Sim.delay t.sim (float_of_int (List.length pa_list) *. mtt_entry_write);
+      Sim.delay t.sim (float_of_int (Extent.count mtt) *. mtt_entry_write);
       Hashtbl.replace t.mrs lkey
-        ({ lkey; mr_pa_list = pa_list; mr_pinned_pages = List.length pins },
-         pins);
+        ({ lkey; mr_mtt = mtt; mr_pinned_pages = Array.length pages }, pages);
       lkey)
 
 let do_dereg_mr t ~arg:lkey =

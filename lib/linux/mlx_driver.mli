@@ -39,7 +39,7 @@ val reg_mr_bytes : int
 
 type mr = {
   lkey : int;
-  mr_pa_list : (Addr.t * int) list; (** MTT: translation entries *)
+  mr_mtt : Extent.t; (** MTT: translation entries *)
   mr_pinned_pages : int;
 }
 
@@ -58,8 +58,7 @@ val mr_count : t -> int
 
 (** Register an MR directly (the PicoDriver fast path calls this with
     translation entries it built itself; charges MTT programming time). *)
-val install_mr :
-  t -> pa_list:(Addr.t * int) list -> pinned_pages:int -> int
+val install_mr : t -> mtt:Extent.t -> pinned_pages:int -> int
 
 (** Remove; returns the entry so the caller can unpin.
     @raise Invalid_argument on unknown lkey *)

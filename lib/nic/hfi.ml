@@ -102,24 +102,24 @@ let place_expected t ctx ~tid_base ~offset ~frag_len ~payload =
   match payload with
   | None -> ()
   | Some data ->
-    let entries = Rcvarray.entries_of_run ctx.rcv ~tid_base in
-    let rec go entries skip written =
+    let run = Rcvarray.entries_of_run ctx.rcv ~tid_base in
+    let rec go i skip written =
       if written >= frag_len then ()
+      else if i >= Extent.count run then
+        invalid_arg "Hfi: expected fragment overruns TID registration"
       else begin
-        match entries with
-        | [] ->
-          invalid_arg "Hfi: expected fragment overruns TID registration"
-        | (e : Rcvarray.entry) :: rest ->
-          if skip >= e.len then go rest (skip - e.len) written
-          else begin
-            let room = e.len - skip in
-            let chunk = min room (frag_len - written) in
-            Node.write_sub t.node (e.pa + skip) data ~off:written ~len:chunk;
-            go rest 0 (written + chunk)
-          end
+        let len = Extent.len run i in
+        if skip >= len then go (i + 1) (skip - len) written
+        else begin
+          let room = len - skip in
+          let chunk = min room (frag_len - written) in
+          Node.write_sub t.node (Extent.pa run i + skip) data ~off:written
+            ~len:chunk;
+          go (i + 1) 0 (written + chunk)
+        end
       end
     in
-    go entries offset 0
+    go 0 offset 0
 
 let rx_dispatch t (p : Wire.packet) =
   match Hashtbl.find_opt t.contexts p.dst_ctx with
@@ -264,7 +264,7 @@ let rec crc_replay t ~work =
    until the train's end behind a movable guard; if any process touches
    the wire mid-train, {!maybe_abort_train} rewinds the uncommitted tail
    to per-packet processing, so contention is byte-identical too.  The
-   schedule is built in one pass over the request list, with the cost
+   schedule is built in one pass over the request train, with the cost
    knobs read once per train, and allocates nothing per request beyond
    its two float-array slots. *)
 let sdma_batch t (tx : Sdma.tx) =
@@ -276,7 +276,7 @@ let sdma_batch t (tx : Sdma.tx) =
        && t.train = None
        && Option.is_none t.crc_corrupt
        && Fabric.quiet t.fabric
-       && tx.Sdma.requests <> [])
+       && Extent.count tx.Sdma.requests > 0)
   then false
   else begin
     let c = Costs.current () in
@@ -285,17 +285,18 @@ let sdma_batch t (tx : Sdma.tx) =
     let bw = c.Costs.link_bandwidth in
     ignore (Resource.acquire t.wire);
     let start = Sim.now t.sim in
-    let n = List.length tx.Sdma.requests in
+    let reqs = tx.Sdma.requests in
+    let ext = (reqs :> int array) in
+    let n = Extent.count reqs in
     let t1 = Array.create_float n in
     let t2 = Array.create_float n in
     (* The per-request path's additions in its order, with [wire_time]'s
        expression verbatim, so every instant has the same bits. *)
-    List.iteri
-      (fun i (r : Sdma.request) ->
-        let a = (if i = 0 then start else t2.(i - 1)) +. req_overhead in
-        t1.(i) <- a;
-        t2.(i) <- a +. (float_of_int (r.Sdma.len + pkt_overhead) /. bw))
-      tx.Sdma.requests;
+    for i = 0 to n - 1 do
+      let a = (if i = 0 then start else t2.(i - 1)) +. req_overhead in
+      t1.(i) <- a;
+      t2.(i) <- a +. (float_of_int (ext.((2 * i) + 1) + pkt_overhead) /. bw)
+    done;
     let tr =
       { tr_t1 = t1; tr_t2 = t2; tr_gen = 0;
         tr_resume = None; tr_abort_i = -1; tr_abort_gap = false }
@@ -316,9 +317,8 @@ let sdma_batch t (tx : Sdma.tx) =
        (* Aborted: [t.train] was already cleared; we woke at the exact
           per-packet boundary and continue with the real per-packet code
           (wire contention with the aborter included). *)
-       let reqs = Array.of_list tx.Sdma.requests in
        let per_packet j =
-         Resource.use t.wire ~work:(wire_time reqs.(j).Sdma.len) (fun () -> ())
+         Resource.use t.wire ~work:(wire_time (Extent.len reqs j)) (fun () -> ())
        in
        let rest first =
          for j = first to n - 1 do
@@ -355,11 +355,11 @@ let create sim ~node ~fabric ?(carry_payload = false)
      reference lets per-packet engines abort a sibling engine's batched
      train before contending for the wire. *)
   let tref = ref None in
-  let transmit (req : Sdma.request) =
+  let transmit ~pa:_ ~len =
     (match !tref with Some t -> maybe_abort_train t | None -> ());
-    Resource.use wire ~work:(wire_time req.len) (fun () -> ());
+    Resource.use wire ~work:(wire_time len) (fun () -> ());
     match !tref with
-    | Some t -> crc_replay t ~work:(wire_time req.len)
+    | Some t -> crc_replay t ~work:(wire_time len)
     | None -> ()
   in
   let t =
@@ -630,22 +630,23 @@ let pio_send t ~dst_node ~dst_ctx ~hdr ~len ?payload () =
       [ ("dst", string_of_int dst_node); ("len", string_of_int len) ]);
   Ledger.close t.sim lg ~phase:"send"
 
-let read_requests t reqs =
-  let total = List.fold_left (fun acc (r : Sdma.request) -> acc + r.len) 0 reqs in
+let read_requests t reqs ~total =
   let buf = Bytes.create total in
   let off = ref 0 in
-  List.iter
-    (fun (r : Sdma.request) ->
-      Node.read_into t.node r.pa buf ~off:!off ~len:r.len;
-      off := !off + r.len)
-    reqs;
+  for i = 0 to Extent.count reqs - 1 do
+    let len = Extent.len reqs i in
+    Node.read_into t.node (Extent.pa reqs i) buf ~off:!off ~len;
+    off := !off + len
+  done;
   buf
 
 let sdma_submit t ~channel ~dst_node ~dst_ctx ~hdr ~reqs ~on_complete () =
-  let total = List.fold_left (fun acc (r : Sdma.request) -> acc + r.len) 0 reqs in
+  let total = Extent.bytes reqs in
   let tx_id = t.next_tx in
   t.next_tx <- tx_id + 1;
-  let payload = if t.carry_payload then Some (read_requests t reqs) else None in
+  let payload =
+    if t.carry_payload then Some (read_requests t reqs ~total) else None
+  in
   let lg = Ledger.begin_ t.sim ~op:"sdma/tx" in
   let finish () =
     (* DMA done: packet leaves for the destination, and the completion

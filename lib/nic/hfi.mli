@@ -112,16 +112,17 @@ val pio_send :
     flow are processed serially by one engine, like the hfi1 engine
     selector.
     driver-built SDMA transfer.  [reqs] are physically-contiguous pieces
-    (each at most the hardware max).  Blocks only while the engine ring is
-    full; the transfer itself proceeds asynchronously and [on_complete]
-    runs from the completion-IRQ handler on a Linux CPU. *)
+    (each at most the hardware max), cut by the driver's policy.  Blocks
+    only while the engine ring is full; the transfer itself proceeds
+    asynchronously and [on_complete] runs from the completion-IRQ handler
+    on a Linux CPU. *)
 val sdma_submit :
   t ->
   channel:int ->
   dst_node:int ->
   dst_ctx:int ->
   hdr:Wire.header ->
-  reqs:Sdma.request list ->
+  reqs:Extent.t ->
   on_complete:(unit -> unit) ->
   unit ->
   unit

@@ -8,6 +8,7 @@ module Resource = Pico_engine.Resource
 module Stats = Pico_engine.Stats
 module Addr = Pico_hw.Addr
 module Node = Pico_hw.Node
+module Pagetable = Pico_hw.Pagetable
 module Irq = Pico_hw.Irq
 module Costs = Pico_costs.Costs
 module Topology = Pico_fabric.Topology

@@ -1,14 +1,9 @@
 open Nic_import
 
-type request = {
-  pa : Addr.t;
-  len : int;
-}
-
 type tx = {
   tx_id : int;
   channel : int;
-  requests : request list;
+  requests : Extent.t;
   total_bytes : int;
   on_complete : unit -> unit;
   (* Latency ledger of the submitting operation ([Ledger.null] unless
@@ -41,7 +36,7 @@ type engine = {
 type t = {
   sim : Sim.t;
   engines : engine array;
-  transmit : request -> unit;
+  transmit : pa:Addr.t -> len:int -> unit;
   (* [batch tx] may process the whole request train of [tx] in one event
      (charging the exact per-request arithmetic in closed form) and return
      true; returning false falls back to the per-request path.  Installed
@@ -75,11 +70,10 @@ let engine_loop t e () =
     let sp = Span.begin_ t.sim ~cat:"sdma" ~name:"tx" in
     Ledger.step t.sim ~series:"sdma/busy_engines" 1;
     if not (t.batch tx) then
-      List.iter
-        (fun req ->
-          Sim.delay t.sim (Costs.current ()).sdma_request_overhead;
-          t.transmit req)
-        tx.requests;
+      for i = 0 to Extent.count tx.requests - 1 do
+        Sim.delay t.sim (Costs.current ()).sdma_request_overhead;
+        t.transmit ~pa:(Extent.pa tx.requests i) ~len:(Extent.len tx.requests i)
+      done;
     let took = Sim.now t.sim -. started in
     Ledger.step t.sim ~series:"sdma/busy_engines" (-1);
     Ledger.mark t.sim tx.lg ~phase:"engine_service";
@@ -91,7 +85,7 @@ let engine_loop t e () =
     Span.end_with t.sim sp (fun () ->
         [ ("tx", string_of_int tx.tx_id);
           ("engine", string_of_int e.idx);
-          ("reqs", string_of_int (List.length tx.requests));
+          ("reqs", string_of_int (Extent.count tx.requests));
           ("bytes", string_of_int tx.total_bytes) ]);
     Semaphore.release e.slots;
     tx.on_complete ();
@@ -130,18 +124,22 @@ let create sim ~n_engines ~ring_slots ~transmit =
    them, in one pass: [(requests, bytes, largest request)]. *)
 let scan_requests reqs =
   let max_len = (Costs.current ()).sdma_max_request in
-  let rec go n bytes largest = function
-    | [] -> (n, bytes, largest)
-    | { len; _ } :: rest ->
+  let a = (reqs : Extent.t :> int array) in
+  let n = Extent.count reqs in
+  let rec go i bytes largest =
+    if i >= n then (n, bytes, largest)
+    else begin
+      let len = a.((2 * i) + 1) in
       if len <= 0 then invalid_arg "Sdma.submit: empty request";
       if len > max_len then
         invalid_arg
           (Printf.sprintf
              "Sdma.submit: request of %d bytes exceeds hardware max %d" len
              max_len);
-      go (n + 1) (bytes + len) (Int.max largest len) rest
+      go (i + 1) (bytes + len) (Int.max largest len)
+    end
   in
-  go 0 0 0 reqs
+  go 0 0 0
 
 let submit t tx =
   (* Every check runs before the slot wait: a bad tx raises with no

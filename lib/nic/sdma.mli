@@ -1,12 +1,14 @@
 (** SDMA engines: descriptor rings + DMA pacing.
 
     The HFI1 has 16 independent SDMA engines for CPU offload of large
-    sends.  A transfer ([tx]) is a list of {e requests}, each describing one
-    physically-contiguous range of at most {!Costs.t.sdma_max_request}
-    bytes (10 kB on hardware).  {b How a buffer is cut into requests is the
-    driver's decision} — the Linux HFI1 driver cuts at PAGE_SIZE (4 kB),
-    the PicoDriver cuts at hardware max when physical contiguity allows;
-    this single difference produces the Fig. 4 bandwidth gap.
+    sends.  A transfer ([tx]) is a train of {e requests}, one
+    physically-contiguous {!Extent} each, of at most
+    {!Costs.t.sdma_max_request} bytes (10 kB on hardware).  {b How a
+    buffer is cut into requests is the driver's decision} — the Linux
+    HFI1 driver cuts at PAGE_SIZE (4 kB, an {!Extent.Pages} cut), the
+    PicoDriver cuts at hardware max when physical contiguity allows (an
+    {!Extent.Chop} cut); this single difference produces the Fig. 4
+    bandwidth gap.
 
     Engines process their rings FIFO; each descriptor costs
     [sdma_request_overhead] engine time plus wire occupancy obtained from
@@ -16,15 +18,10 @@
 
 open Nic_import
 
-type request = {
-  pa : Addr.t;
-  len : int;
-}
-
 type tx = {
   tx_id : int;
   channel : int;   (** flow identifier (sender context); selects the engine *)
-  requests : request list;
+  requests : Extent.t;
   total_bytes : int;
   on_complete : unit -> unit;
   lg : Ledger.h;
@@ -35,13 +32,14 @@ type tx = {
 
 type t
 
-(** [create sim ~n_engines ~ring_slots ~transmit] — [transmit req] is
-    called in engine context and must block for the wire time. *)
+(** [create sim ~n_engines ~ring_slots ~transmit] — [transmit ~pa ~len]
+    puts one request on the wire; it is called in engine context and must
+    block for the wire time. *)
 val create :
   Sim.t ->
   n_engines:int ->
   ring_slots:int ->
-  transmit:(request -> unit) ->
+  transmit:(pa:Addr.t -> len:int -> unit) ->
   t
 
 (** Validate and enqueue a transfer on the flow's engine.

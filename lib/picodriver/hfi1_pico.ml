@@ -89,24 +89,25 @@ let engine_running t ~engine_idx =
 (* --- fast-path SDMA send ----------------------------------------------- *)
 
 (* Chop physically contiguous segments at the hardware maximum.  Unlike
-   the Linux driver, a request may span page boundaries and large pages. *)
+   the Linux driver, a request may span page boundaries and large pages.
+   Every segment is checked before any request is counted, so a rejected
+   buffer moves no counter. *)
 let requests_of_segments t segs =
-  let maxreq = (Costs.current ()).sdma_max_request in
-  List.concat_map
-    (fun (pa, len, flags) ->
+  List.iter
+    (fun (_, _, flags) ->
       if not (Pagetable.Flags.has flags Pagetable.Flags.pinned) then
         invalid_arg
-          "hfi1-pico: SDMA from non-pinned mapping (LWK policy violated)";
-      let rec chop off acc =
-        if off >= len then List.rev acc
-        else begin
-          let take = min maxreq (len - off) in
-          if take > Addr.page_size then t.big_requests <- t.big_requests + 1;
-          chop (off + take) ({ Sdma.pa = pa + off; len = take } :: acc)
-        end
-      in
-      chop 0 [])
-    segs
+          "hfi1-pico: SDMA from non-pinned mapping (LWK policy violated)")
+    segs;
+  let reqs =
+    Extent.of_cut
+      (Extent.Chop { cap = (Costs.current ()).sdma_max_request; segs })
+  in
+  for i = 0 to Extent.count reqs - 1 do
+    if Extent.len reqs i > Addr.page_size then
+      t.big_requests <- t.big_requests + 1
+  done;
+  reqs
 
 let walk_cost segs =
   (* One table walk per leaf entry visited: with 2 MB pages this is
@@ -152,11 +153,12 @@ let fast_writev t (p : Mck.pctx) (file : Vfs.file) (iovs : Vfs.iovec list) =
           in
           t.pt_segments <- t.pt_segments + List.length segs;
           Sim.delay sim (walk_cost segs);
-          (acc @ requests_of_segments t segs, total + iov.Vfs.iov_len))
-        ([], 0) data_iovs
+          (Extent.append acc (requests_of_segments t segs),
+           total + iov.Vfs.iov_len))
+        (Extent.empty, 0) data_iovs
     in
     Ledger.close sim lg ~phase:"walk";
-    if all_reqs = [] then 0
+    if Extent.count all_reqs = 0 then 0
     else begin
       (* Metadata from McKernel's per-core allocator; the duplicated
          callback frees it with the remote-safe kfree since SDMA
@@ -192,19 +194,6 @@ let fast_writev t (p : Mck.pctx) (file : Vfs.file) (iovs : Vfs.iovec list) =
    one per 4 kB page. *)
 let entry_max = Addr.large_page_size
 
-let entries_of_segments segs =
-  List.concat_map
-    (fun (pa, len, _flags) ->
-      let rec chop off acc =
-        if off >= len then List.rev acc
-        else begin
-          let take = min entry_max (len - off) in
-          chop (off + take) ({ Rcvarray.pa = pa + off; len = take } :: acc)
-        end
-      in
-      chop 0 [])
-    segs
-
 let fast_tid_update t (p : Mck.pctx) (file : Vfs.file) ~arg =
   t.ioctl_fast <- t.ioctl_fast + 1;
   let sim = Mck.sim t.mck in
@@ -223,10 +212,10 @@ let fast_tid_update t (p : Mck.pctx) (file : Vfs.file) ~arg =
   let lg = Ledger.begin_ sim ~op:"translate/pt_walk" in
   Sim.delay sim (walk_cost segs);
   Ledger.close sim lg ~phase:"walk";
-  let entries = entries_of_segments segs in
+  let cut = Extent.Chop { cap = entry_max; segs } in
   Spinlock.with_lock (Hfi1_driver.tid_lock t.linux_driver) (fun () ->
-      match Rcvarray.program (Hfi.rcvarray ctx) entries with
-      | Some tid_base -> tid_base lor (List.length entries lsl 16)
+      match Rcvarray.program (Hfi.rcvarray ctx) cut with
+      | Some tid_base -> tid_base lor (Extent.cut_count cut lsl 16)
       | None -> -1)
 
 let fast_tid_free t (p : Mck.pctx) (file : Vfs.file) ~arg =
@@ -247,8 +236,8 @@ let fast_tid_free t (p : Mck.pctx) (file : Vfs.file) ~arg =
          Hfi1_driver.take_tid_pins t.linux_driver
            ~tid_base:tf.User_api.tf_tid_base
        with
-       | Some (_count, pins) ->
-         Pico_linux.Gup.put_pages (Hfi1_driver.gup t.linux_driver) pins
+       | Some (_count, pages) ->
+         Pico_linux.Gup.put_pages (Hfi1_driver.gup t.linux_driver) pages
        | None -> ());
       0)
 

@@ -36,14 +36,14 @@ let fast_reg_mr t (p : Mck.pctx) (_file : Vfs.file) ~arg =
         invalid_arg "mlx-pico: REG_MR of non-pinned mapping")
     segs;
   (* One MTT entry per contiguous run (vs one per page in Linux). *)
-  let pa_list = List.map (fun (pa, len, _) -> (pa, len)) segs in
+  let mtt = Extent.of_cut (Extent.Chop { cap = max_int; segs }) in
   let pages =
     Pico_hw.Addr.pages_spanned ~addr:cmd.Mlx_driver.mr_va
       ~len:cmd.Mlx_driver.mr_len
   in
-  t.entries_saved <- t.entries_saved + (pages - List.length pa_list);
+  t.entries_saved <- t.entries_saved + (pages - Extent.count mtt);
   Spinlock.with_lock (Mlx_driver.mr_lock t.linux_driver) (fun () ->
-      Mlx_driver.install_mr t.linux_driver ~pa_list ~pinned_pages:0)
+      Mlx_driver.install_mr t.linux_driver ~mtt ~pinned_pages:0)
 
 let fast_dereg_mr t (_p : Mck.pctx) (_file : Vfs.file) ~arg:lkey =
   t.dereg_fast <- t.dereg_fast + 1;

@@ -12,8 +12,10 @@
 # simulation work would show up as a byte-diff in check.sh instead.
 #
 # A warn-only ledger-overhead FOM re-runs the figure with latency
-# ledgers armed (--breakdown) and prints the per-event cost ratio; skip
-# with PICO_PERF_LEDGER=0.
+# ledgers armed (--breakdown), prints the per-event cost ratio against
+# the unarmed run, and compares the armed equiv_events_per_sec with the
+# baseline's ledger_equiv_events_per_sec (the ratio alone reads a faster
+# unarmed path as costlier bookkeeping); skip with PICO_PERF_LEDGER=0.
 #
 # Informative wall-clock FOMs come from the faults, serve and scale
 # figures (below).  Their host seconds are recorded next to the
@@ -177,6 +179,19 @@ base_fig="$(awk -F': ' '/"figure"/ { gsub(/[ ",]/,"",$2); print $2 }' "$baseline
 if [ "$base_fig" != "$fig" ]; then
   echo "perf.sh: baseline is for '$base_fig', not '$fig'; skipping comparison"
   exit 0
+fi
+
+# Armed throughput against the baseline's (warn-only, like the ratio).
+base_ledger="$(json_key "$baseline" ledger_equiv_events_per_sec)"
+if [ "$ledger_eeps" != null ] && [ -n "$base_ledger" ] \
+   && [ "$base_ledger" != null ]; then
+  awk -v now="$ledger_eeps" -v base="$base_ledger" 'BEGIN {
+    ratio = now / base;
+    printf "perf.sh: ledgers armed: %.2fx of baseline (%.4g vs %.4g equiv events/sec)\n",
+      ratio, now, base;
+    if (ratio < 0.8)
+      print "perf.sh: WARN: armed throughput >20% below checked-in baseline" > "/dev/stderr";
+  }'
 fi
 
 awk -v now="$eeps" -v base="$base_eeps" 'BEGIN {

@@ -59,7 +59,7 @@ let test_linux_reg_mr_per_page () =
        | Some mr ->
          (* Linux: one MTT entry per 4 kB page. *)
          Alcotest.(check int) "16 MTT entries" 16
-           (List.length mr.Mlx.mr_pa_list);
+           (Pico_nic.Extent.count mr.Mlx.mr_mtt);
          Alcotest.(check int) "16 pages pinned" 16 mr.Mlx.mr_pinned_pages
        | None -> Alcotest.fail "MR not installed");
       Alcotest.(check bool) "pins held" true (Gup.pinned linux.Lkernel.gup > 0);
@@ -90,7 +90,7 @@ let test_pico_reg_mr_coarse_entries () =
       (match Mlx.lookup_mr mlx ~lkey with
        | Some mr ->
          (* Contiguous pinned 4 MB -> one MTT entry, not 1024. *)
-         Alcotest.(check int) "one MTT entry" 1 (List.length mr.Mlx.mr_pa_list)
+         Alcotest.(check int) "one MTT entry" 1 (Pico_nic.Extent.count mr.Mlx.mr_mtt)
        | None -> Alcotest.fail "MR not installed");
       Alcotest.(check bool) "entries saved" true
         (Mlx_pico.entries_saved pico >= 1023);

@@ -7,6 +7,9 @@ module Ledger = Pico_engine.Ledger
 module Mailbox = Pico_engine.Mailbox
 module Stats = Pico_engine.Stats
 module Node = Pico_hw.Node
+module Addr = Pico_hw.Addr
+module Pagetable = Pico_hw.Pagetable
+module Gup = Pico_linux.Gup
 module Costs = Pico_costs.Costs
 
 let () = Costs.reset ()
@@ -83,9 +86,9 @@ let mk_sdma ?(engines = 4) ?(slots = 4) sim =
   let transmitted = ref [] in
   let s =
     Sdma.create sim ~n_engines:engines ~ring_slots:slots
-      ~transmit:(fun (r : Sdma.request) ->
+      ~transmit:(fun ~pa ~len:_ ->
         Sim.delay sim 100.;
-        transmitted := (r.Sdma.pa, Sim.now sim) :: !transmitted)
+        transmitted := (pa, Sim.now sim) :: !transmitted)
   in
   (s, transmitted)
 
@@ -97,7 +100,7 @@ let test_sdma_oversize_rejected () =
         (try
            Sdma.submit s
              { Sdma.tx_id = 0; channel = 0;
-               requests = [ { Sdma.pa = 0; len = 20_000 } ];
+               requests = Extent.of_list [ (0, 20_000) ];
                total_bytes = 20_000; on_complete = (fun () -> ()); lg = Ledger.null };
            false
          with Invalid_argument _ -> true));
@@ -112,7 +115,7 @@ let test_sdma_bad_tx_moves_nothing () =
            Sdma.submit s
              { Sdma.tx_id = 0; channel = 0;
                requests =
-                 [ { Sdma.pa = 0; len = 4096 }; { Sdma.pa = 4096; len = 20_000 } ];
+                 Extent.of_list [ (0, 4096); (4096, 20_000) ];
                total_bytes = 24_096; on_complete = (fun () -> ());
                lg = Ledger.null };
            false
@@ -130,7 +133,7 @@ let test_sdma_empty_rejected () =
   let submit len =
     Sdma.submit s
       { Sdma.tx_id = 0; channel = 0;
-        requests = [ { Sdma.pa = 0; len } ];
+        requests = Extent.of_list [ (0, len) ];
         total_bytes = len; on_complete = (fun () -> ()); lg = Ledger.null }
   in
   Sim.spawn sim (fun () ->
@@ -147,7 +150,7 @@ let test_sdma_halt_parks_engine () =
   let done1 = ref 0. and done2 = ref 0. in
   let mk i don =
     { Sdma.tx_id = i; channel = 0;
-      requests = [ { Sdma.pa = i * 4096; len = 4096 } ];
+      requests = Extent.of_list [ (i * 4096, 4096) ];
       total_bytes = 4096; on_complete = (fun () -> don := Sim.now sim); lg = Ledger.null }
   in
   Sim.spawn sim (fun () -> Sdma.submit s (mk 1 done1));
@@ -176,7 +179,7 @@ let test_sdma_same_channel_serializes () =
       for i = 0 to 1 do
         Sdma.submit s
           { Sdma.tx_id = i; channel = 7;
-            requests = [ { Sdma.pa = i * 4096; len = 4096 } ];
+            requests = Extent.of_list [ (i * 4096, 4096) ];
             total_bytes = 4096;
             on_complete = (fun () -> completions := Sim.now sim :: !completions); lg = Ledger.null }
       done);
@@ -194,7 +197,7 @@ let test_sdma_different_channels_overlap () =
       for i = 0 to 1 do
         Sdma.submit s
           { Sdma.tx_id = i; channel = i;
-            requests = [ { Sdma.pa = i * 4096; len = 4096 } ];
+            requests = Extent.of_list [ (i * 4096, 4096) ];
             total_bytes = 4096;
             on_complete = (fun () -> completions := Sim.now sim :: !completions); lg = Ledger.null }
       done);
@@ -210,7 +213,7 @@ let test_sdma_stats () =
       Sdma.submit s
         { Sdma.tx_id = 0; channel = 0;
           requests =
-            [ { Sdma.pa = 0; len = 4096 }; { Sdma.pa = 8192; len = 2048 } ];
+            Extent.of_list [ (0, 4096); (8192, 2048) ];
           total_bytes = 6144; on_complete = (fun () -> ()); lg = Ledger.null });
   ignore (Sim.run sim);
   Alcotest.(check int) "requests" 2 (Sdma.requests_submitted s);
@@ -226,7 +229,7 @@ let test_sdma_ring_backpressure () =
       for i = 0 to 1 do
         Sdma.submit s
           { Sdma.tx_id = i; channel = 0;
-            requests = [ { Sdma.pa = 0; len = 4096 } ];
+            requests = Extent.of_list [ (0, 4096) ];
             total_bytes = 4096; on_complete = (fun () -> ()); lg = Ledger.null };
         submit_times := Sim.now sim :: !submit_times
       done);
@@ -239,53 +242,71 @@ let test_sdma_ring_backpressure () =
 
 (* --- Rcvarray ------------------------------------------------------------------ *)
 
+(* RcvArray entries given as [(pa, len)] pairs. *)
+let entries l = Extent.Extents (Extent.of_list l)
+
 let test_rcvarray_program_lookup () =
   let sim = Sim.create () in
   let r = Rcvarray.create sim ~n_entries:8 in
   let base =
     Option.get
       (Rcvarray.program r
-         [ { Rcvarray.pa = 0x1000; len = 4096 };
-           { Rcvarray.pa = 0x9000; len = 2048 } ])
+         (entries [ (0x1000, 4096); (0x9000, 2048) ]))
   in
   Alcotest.(check int) "base" 0 base;
   Alcotest.(check int) "in use" 2 (Rcvarray.in_use r);
   (match Rcvarray.lookup r ~tid:1 with
-   | Some e -> Alcotest.(check int) "second entry pa" 0x9000 e.Rcvarray.pa
+   | Some (pa, _) -> Alcotest.(check int) "second entry pa" 0x9000 pa
    | None -> Alcotest.fail "missing entry")
 
 let test_rcvarray_run_and_free () =
   let sim = Sim.create () in
   let r = Rcvarray.create sim ~n_entries:8 in
-  let b1 = Option.get (Rcvarray.program r [ { Rcvarray.pa = 0; len = 4096 } ]) in
+  let b1 = Option.get (Rcvarray.program r (entries [ (0, 4096) ])) in
   let b2 =
     Option.get
       (Rcvarray.program r
-         [ { Rcvarray.pa = 4096; len = 4096 };
-           { Rcvarray.pa = 8192; len = 4096 } ])
+         (entries [ (4096, 4096); (8192, 4096) ]))
   in
   Alcotest.(check int) "b2 after b1" (b1 + 1) b2;
   Rcvarray.unprogram r ~tid_base:b1 ~count:1;
-  let b3 = Option.get (Rcvarray.program r [ { Rcvarray.pa = 0; len = 4096 } ]) in
+  let b3 = Option.get (Rcvarray.program r (entries [ (0, 4096) ])) in
   Alcotest.(check int) "hole reused" b1 b3
 
 let test_rcvarray_full () =
   let sim = Sim.create () in
   let r = Rcvarray.create sim ~n_entries:2 in
-  ignore (Rcvarray.program r [ { Rcvarray.pa = 0; len = 4096 } ]);
+  ignore (Rcvarray.program r (entries [ (0, 4096) ]));
   Alcotest.(check bool) "no contiguous room" true
     (Rcvarray.program r
-       [ { Rcvarray.pa = 0; len = 4096 }; { Rcvarray.pa = 0; len = 4096 } ]
+       (entries [ (0, 4096); (0, 4096) ])
      = None)
 
 let test_rcvarray_double_unprogram () =
   let sim = Sim.create () in
   let r = Rcvarray.create sim ~n_entries:4 in
-  let b = Option.get (Rcvarray.program r [ { Rcvarray.pa = 0; len = 4096 } ]) in
+  let b = Option.get (Rcvarray.program r (entries [ (0, 4096) ])) in
   Rcvarray.unprogram r ~tid_base:b ~count:1;
   Alcotest.(check bool) "double unprogram raises" true
     (try Rcvarray.unprogram r ~tid_base:b ~count:1; false
      with Invalid_argument _ -> true)
+
+let test_rcvarray_bad_unprogram_moves_nothing () =
+  let sim = Sim.create () in
+  let r = Rcvarray.create sim ~n_entries:8 in
+  let b =
+    Option.get (Rcvarray.program r (entries [ (0x1000, 4096); (0x9000, 2048) ]))
+  in
+  Alcotest.(check bool) "run over a free slot raises" true
+    (try Rcvarray.unprogram r ~tid_base:b ~count:3; false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "in use" 2 (Rcvarray.in_use r);
+  Alcotest.(check (option (pair int int))) "first entry kept"
+    (Some (0x1000, 4096)) (Rcvarray.lookup r ~tid:b);
+  Alcotest.(check (option (pair int int))) "second entry kept"
+    (Some (0x9000, 2048)) (Rcvarray.lookup r ~tid:(b + 1));
+  Alcotest.(check int) "next run after it" (b + 2)
+    (Option.get (Rcvarray.program r (entries [ (0, 4096) ])))
 
 let test_rcvarray_entries_of_run () =
   let sim = Sim.create () in
@@ -293,11 +314,198 @@ let test_rcvarray_entries_of_run () =
   let b =
     Option.get
       (Rcvarray.program r
-         [ { Rcvarray.pa = 0; len = 100 }; { Rcvarray.pa = 200; len = 100 } ])
+         (entries [ (0, 100); (200, 100) ]))
   in
   Alcotest.(check int) "run length" 2
-    (List.length (Rcvarray.entries_of_run r ~tid_base:b));
+    (Extent.count (Rcvarray.entries_of_run r ~tid_base:b));
   Alcotest.(check int) "programmed_total" 2 (Rcvarray.programmed_total r)
+
+(* --- Extent cuts against the per-page list code they replaced ---------------- *)
+
+(* An 8 MiB window straddling a 1 GiB boundary, in four 2 MiB leaf-table
+   spans: 4 kB pages with a physical break every 5 pages; a 2 MB leaf;
+   4 kB pages that continue that leaf physically, with one hole; another
+   2 MB leaf.  Past the window nothing is mapped. *)
+let window_va = Addr.gib 1 - Addr.mib 4
+
+let window_len = Addr.mib 8
+
+let hole_va = window_va + Addr.mib 4 + (300 * Addr.page_size)
+
+let window_pt () =
+  let pt = Pagetable.create () in
+  let flags = Pagetable.Flags.(present + writable + user + pinned) in
+  for k = 0 to 511 do
+    Pagetable.map pt ~va:(window_va + (k * Addr.page_size))
+      ~pa:(0x1000_0000 + ((k + (k / 5 * 3)) * Addr.page_size))
+      ~page_size:Addr.page_size ~flags
+  done;
+  Pagetable.map pt ~va:(window_va + Addr.mib 2) ~pa:0x2000_0000
+    ~page_size:Addr.large_page_size ~flags;
+  for k = 0 to 511 do
+    let va = window_va + Addr.mib 4 + (k * Addr.page_size) in
+    if va <> hole_va then
+      Pagetable.map pt ~va ~pa:(0x2020_0000 + (k * Addr.page_size))
+        ~page_size:Addr.page_size ~flags
+  done;
+  Pagetable.map pt ~va:(window_va + Addr.mib 6) ~pa:0x3000_0000
+    ~page_size:Addr.large_page_size ~flags;
+  pt
+
+(* The reference: [pa_of] page by page from the last page down (the order
+   get_user_pages walked), and the per-page and per-segment list cuts. *)
+let ref_pages pt ~va ~len =
+  let first = Addr.align_down va Addr.page_size in
+  let rec go i acc =
+    if i < 0 then acc
+    else go (i - 1) (Pagetable.pa_of pt (first + (i * Addr.page_size)) :: acc)
+  in
+  go (Addr.pages_spanned ~addr:va ~len - 1) []
+
+let ref_linux_cut ~va ~len pages =
+  let first_off = Addr.offset_in_page va in
+  let rec go pages covered =
+    match pages with
+    | p :: rest when covered < len ->
+      let page_off = if covered = 0 then first_off else 0 in
+      let take = min (Addr.page_size - page_off) (len - covered) in
+      (p + page_off, take) :: go rest (covered + take)
+    | _ -> []
+  in
+  go pages 0
+
+let ref_chop ~cap segs =
+  List.concat_map
+    (fun (pa, len, _) ->
+      let rec chop off acc =
+        if off >= len then List.rev acc
+        else begin
+          let take = min cap (len - off) in
+          chop (off + take) ((pa + off, take) :: acc)
+        end
+      in
+      chop 0 [])
+    segs
+
+let to_list e = List.init (Extent.count e) (fun i -> (Extent.pa e i, Extent.len e i))
+
+(* The RcvArray as an option per slot: first free run from TID 0. *)
+let ref_program slots entries =
+  let n = List.length entries in
+  let cap = Array.length slots in
+  let rec scan start run i =
+    if i >= cap then None
+    else if slots.(i) <> None then scan (i + 1) 0 (i + 1)
+    else if run + 1 = n then Some start
+    else scan start (run + 1) (i + 1)
+  in
+  match scan 0 0 0 with
+  | None -> None
+  | Some base ->
+    List.iteri (fun i e -> slots.(base + i) <- Some e) entries;
+    Some base
+
+let ref_run slots ~tid_base =
+  let rec go i =
+    if i < Array.length slots then
+      match slots.(i) with Some e -> e :: go (i + 1) | None -> []
+    else []
+  in
+  go tid_base
+
+let check_readback name r slots =
+  Array.iteri
+    (fun tid e ->
+      if Rcvarray.lookup r ~tid <> e then
+        QCheck2.Test.fail_reportf "%s: lookup %d differs" name tid)
+    slots;
+  let used = Array.fold_left (fun n e -> if e = None then n else n + 1) 0 slots in
+  if Rcvarray.in_use r <> used then
+    QCheck2.Test.fail_reportf "%s: in_use %d, reference %d" name
+      (Rcvarray.in_use r) used
+
+(* Program [cut] into an RcvArray holding [junk] single-entry runs, the
+   first of them freed again, and the reference beside it.  The array
+   has [slack] slots more than [junk] plus the run (from -1: no room). *)
+let check_rcv_program name ~junk ~slack cut ref_entries =
+  let capacity = Int.max 1 (junk + List.length ref_entries + slack) in
+  let r = Rcvarray.create (Sim.create ()) ~n_entries:capacity in
+  let slots = Array.make capacity None in
+  for _ = 1 to junk do
+    ignore (Rcvarray.program r (entries [ (0, 4096) ]));
+    ignore (ref_program slots [ (0, 4096) ])
+  done;
+  if junk > 0 then begin
+    Rcvarray.unprogram r ~tid_base:0 ~count:1;
+    slots.(0) <- None
+  end;
+  let base = Rcvarray.program r cut in
+  let ref_base = ref_program slots ref_entries in
+  if base <> ref_base then QCheck2.Test.fail_reportf "%s: base differs" name;
+  check_readback name r slots;
+  let programmed =
+    junk + match base with Some _ -> List.length ref_entries | None -> 0
+  in
+  if Rcvarray.programmed_total r <> programmed then
+    QCheck2.Test.fail_reportf "%s: programmed_total" name;
+  match base with
+  | None -> ()
+  | Some tid_base ->
+    if to_list (Rcvarray.entries_of_run r ~tid_base)
+       <> ref_run slots ~tid_base
+    then QCheck2.Test.fail_reportf "%s: placement run differs" name;
+    Rcvarray.unprogram r ~tid_base ~count:(List.length ref_entries);
+    List.iteri (fun i _ -> slots.(tid_base + i) <- None) ref_entries;
+    check_readback (name ^ " after unprogram") r slots
+
+let prop_extent_cuts =
+  QCheck2.Test.make ~name:"extent cuts = per-page list reference" ~count:300
+    ~print:(fun (off, len, junk, slack) ->
+      Printf.sprintf "off=%#x len=%d junk=%d slack=%d" off len junk slack)
+    QCheck2.Gen.(
+      quad (int_range 0 (window_len - 1)) (int_range 1 (Addr.mib 3))
+        (int_range 0 3) (int_range (-1) 2))
+    (fun (off, len, junk, slack) ->
+      let pt = window_pt () in
+      let va = window_va + off in
+      let gup = Gup.create (Sim.create ()) in
+      let expected =
+        try Ok (ref_pages pt ~va ~len) with Pagetable.Not_mapped a -> Error a
+      in
+      let got =
+        try Ok (Array.to_list (Gup.get_user_pages gup ~pt ~va ~len))
+        with Pagetable.Not_mapped a -> Error a
+      in
+      if got <> expected then QCheck2.Test.fail_report "run walk differs";
+      (match expected with
+       | Error a ->
+         (* The first hole of a last-to-first walk is the run's highest:
+            its last page past the window, else the window's one hole. *)
+         let last = Addr.align_down (va + len - 1) Addr.page_size in
+         let highest =
+           if last >= window_va + window_len then last else hole_va
+         in
+         if a <> highest then QCheck2.Test.fail_report "not the highest hole"
+       | Ok page_list ->
+         let pages = Array.of_list page_list in
+         let linux = ref_linux_cut ~va ~len page_list in
+         let cut = Extent.Pages { pages; va; len } in
+         if to_list (Extent.of_cut cut) <> linux
+            || Extent.cut_count cut <> List.length linux
+         then QCheck2.Test.fail_report "Linux cut differs";
+         check_rcv_program "Linux" ~junk ~slack cut linux;
+         let segs = Pagetable.phys_segments pt ~va ~len in
+         List.iter
+           (fun cap ->
+             let pico = ref_chop ~cap segs in
+             let cut = Extent.Chop { cap; segs } in
+             if to_list (Extent.of_cut cut) <> pico
+                || Extent.cut_count cut <> List.length pico
+             then QCheck2.Test.fail_reportf "chop at %d differs" cap;
+             check_rcv_program (Printf.sprintf "chop %d" cap) ~junk ~slack cut
+               pico)
+           [ (Costs.current ()).Costs.sdma_max_request; Addr.large_page_size ]);
+      true)
 
 (* --- User_api ------------------------------------------------------------------- *)
 
@@ -401,7 +609,7 @@ let test_hfi_sdma_expected_end_to_end () =
   let rpa = Option.get (Node.alloc_frames n1 2) in
   let tid_base =
     Option.get
-      (Rcvarray.program (Hfi.rcvarray ctx) [ { Rcvarray.pa = rpa; len = 8192 } ])
+      (Rcvarray.program (Hfi.rcvarray ctx) (entries [ (rpa, 8192) ]))
   in
   let spa = Option.get (Node.alloc_frames n0 2) in
   let data = Bytes.init 8192 (fun i -> Char.chr ((i * 7) land 0xff)) in
@@ -413,7 +621,7 @@ let test_hfi_sdma_expected_end_to_end () =
           (Wire.Expected
              { tid_base; msg_id = 5; offset = 0; frag_len = 8192;
                msg_len = 8192; src_rank = 0 })
-        ~reqs:[ { Sdma.pa = spa; len = 8192 } ]
+        ~reqs:(Extent.of_list [ (spa, 8192) ])
         ~on_complete:(fun () -> completed := true)
         ());
   ignore (Sim.run sim);
@@ -439,7 +647,7 @@ let test_hfi_wire_is_serialized () =
             (Wire.Eager
                { tag = 0L; msg_id = i; offset = 0; frag_len = 8192;
                  msg_len = 8192; src_rank = 0 })
-          ~reqs:[ { Sdma.pa = spa + (i * 8192); len = 8192 } ]
+          ~reqs:(Extent.of_list [ (spa + (i * 8192), 8192) ])
           ~on_complete:(fun () -> ())
           ()
       done);
@@ -536,7 +744,7 @@ let pio_scenario len sim h0 _n0 dst_ctx _complete pio_done =
 
 let sdma_scenario lens sim h0 n0 dst_ctx complete _pio_done =
   let spa = Option.get (Node.alloc_frames n0 4) in
-  let reqs = List.map (fun len -> { Sdma.pa = spa; len }) lens in
+  let reqs = Extent.of_list (List.map (fun len -> (spa, len)) lens) in
   let total = List.fold_left ( + ) 0 lens in
   Sim.spawn sim (fun () ->
       Hfi.sdma_submit h0 ~channel:0 ~dst_node:1 ~dst_ctx
@@ -557,7 +765,7 @@ let midtrain_scenario ~d ~pio_len ~via_sdma lens sim h0 n0 dst_ctx complete
         let spa = Option.get (Node.alloc_frames n0 1) in
         Hfi.sdma_submit h0 ~channel:1 ~dst_node:1 ~dst_ctx
           ~hdr:(eager_hdr 4096)
-          ~reqs:[ { Sdma.pa = spa; len = 4096 } ]
+          ~reqs:(Extent.of_list [ (spa, 4096) ])
           ~on_complete:(fun () -> ())
           ()
       end
@@ -581,7 +789,7 @@ let halt_scenario ~d ~dwell lens sim h0 n0 dst_ctx complete pio_done =
       let spa = Option.get (Node.alloc_frames n0 1) in
       Hfi.sdma_submit h0 ~channel:0 ~dst_node:1 ~dst_ctx
         ~hdr:(eager_hdr 4096)
-        ~reqs:[ { Sdma.pa = spa; len = 4096 } ]
+        ~reqs:(Extent.of_list [ (spa, 4096) ])
         ~on_complete:(fun () -> pio_done := Sim.now sim)
         ());
   Sim.spawn sim (fun () ->
@@ -647,7 +855,7 @@ let pio_midtrain_scenario ~d ~clen ~via_sdma ~len sim h0 n0 dst_ctx complete
         let spa = Option.get (Node.alloc_frames n0 1) in
         Hfi.sdma_submit h0 ~channel:0 ~dst_node:1 ~dst_ctx
           ~hdr:(eager_hdr 4096)
-          ~reqs:[ { Sdma.pa = spa; len = 4096 } ]
+          ~reqs:(Extent.of_list [ (spa, 4096) ])
           ~on_complete:(fun () -> ())
           ()
       end
@@ -817,7 +1025,7 @@ let check_ft_equiv name scenario =
 
 let ft_train_scenario lens sim hfis nodes ctxs complete _pio_done =
   let spa = Option.get (Node.alloc_frames nodes.(0) 4) in
-  let reqs = List.map (fun len -> { Sdma.pa = spa; len }) lens in
+  let reqs = Extent.of_list (List.map (fun len -> (spa, len)) lens) in
   let total = List.fold_left ( + ) 0 lens in
   Sim.spawn sim (fun () ->
       Hfi.sdma_submit hfis.(0) ~channel:0 ~dst_node:1 ~dst_ctx:ctxs.(1)
@@ -974,7 +1182,10 @@ let () =
          Alcotest.test_case "run and free" `Quick test_rcvarray_run_and_free;
          Alcotest.test_case "full" `Quick test_rcvarray_full;
          Alcotest.test_case "double unprogram" `Quick test_rcvarray_double_unprogram;
+         Alcotest.test_case "bad unprogram moves nothing" `Quick
+           test_rcvarray_bad_unprogram_moves_nothing;
          Alcotest.test_case "entries of run" `Quick test_rcvarray_entries_of_run ]);
+      ("extent", [ qc prop_extent_cuts ]);
       ("user_api",
        [ Alcotest.test_case "sdma roundtrip" `Quick test_user_api_sdma_roundtrip;
          Alcotest.test_case "tid roundtrip" `Quick test_user_api_tid_roundtrip;

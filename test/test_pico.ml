@@ -409,6 +409,38 @@ let test_pico_rejects_unpinned () =
          with Invalid_argument _ -> true));
   ignore (Sim.run sim)
 
+(* A buffer whose pinned head would yield a >4 kB request and whose tail
+   is unpinned: the builder checks every segment before it counts one. *)
+let test_pico_unpinned_tail_counts_nothing () =
+  let sim, node, _, driver, mck = mk_env () in
+  let p = attach mck driver in
+  Sim.spawn sim (fun () ->
+      let pc = Mck.new_process mck in
+      let fd = Mck.open_dev mck pc "hfi1_0" in
+      let va = 0x6000_0000 in
+      let pa = Option.get (Node.alloc_frames node 4) in
+      let pt = pc.Mck.proc.Mproc.pt in
+      Pagetable.map_range pt ~va ~pa ~len:(3 * 4096) ~page_size:4096
+        ~flags:Pagetable.Flags.(present + writable + user + pinned);
+      Pagetable.map pt ~va:(va + (3 * 4096)) ~pa:(pa + (3 * 4096))
+        ~page_size:4096 ~flags:Pagetable.Flags.(present + writable + user);
+      let scratch = Mck.mmap_anon mck pc ~len:4096 in
+      Mproc.write pc.Mck.proc scratch
+        (User_api.encode_sdma_req
+           { User_api.dst_node = 0; dst_ctx = 0; kind = User_api.Sdma_eager;
+             tag = 0L; msg_id = 0; offset = 0; msg_len = 4 * 4096;
+             tid_base = 0; src_rank = 0 });
+      Alcotest.(check bool) "unpinned tail rejected" true
+        (try
+           ignore
+             (Mck.writev mck pc ~fd
+                [ { Vfs.iov_base = scratch; iov_len = User_api.sdma_req_bytes };
+                  { Vfs.iov_base = va; iov_len = 4 * 4096 } ]);
+           false
+         with Invalid_argument _ -> true);
+      Alcotest.(check int) "no request counted" 0 (Hfi1_pico.big_requests p));
+  ignore (Sim.run sim)
+
 let test_pico_shares_linux_locks () =
   let _, _, _, driver, mck = mk_env () in
   ignore (attach mck driver);
@@ -453,5 +485,7 @@ let () =
          Alcotest.test_case "fast path end to end" `Quick
            test_pico_fast_path_end_to_end;
          Alcotest.test_case "rejects unpinned" `Quick test_pico_rejects_unpinned;
+         Alcotest.test_case "unpinned tail counts nothing" `Quick
+           test_pico_unpinned_tail_counts_nothing;
          Alcotest.test_case "shares linux locks" `Quick
            test_pico_shares_linux_locks ]) ]
