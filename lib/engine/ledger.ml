@@ -17,6 +17,9 @@ let null : h = None
 
 let begin_ sim ~op = if !flag then Some (Sim.ledger_begin sim ~op) else None
 
+let begin_prefixed sim ~prefix ~name =
+  if !flag then Some (Sim.ledger_begin sim ~op:(prefix ^ name)) else None
+
 let mark sim h ~phase =
   match h with None -> () | Some ld -> Sim.ledger_mark sim ld ~phase
 

@@ -45,6 +45,12 @@ val null : h
     section 13). *)
 val begin_ : Sim.t -> op:string -> h
 
+(** [begin_prefixed sim ~prefix ~name] is [begin_ sim ~op:(prefix ^
+    name)], except that the op name is built only when recording is on:
+    a disabled call allocates nothing.  For per-call ops such as
+    ["syscall/" ^ name]. *)
+val begin_prefixed : Sim.t -> prefix:string -> name:string -> h
+
 (** [mark sim h ~phase] attributes the time since the previous
     mark (or the begin) to [phase].  Zero-length segments are skipped,
     so an unconditional mark on a path that may not have consumed time

@@ -69,7 +69,7 @@ let offload t ~name f =
   t.calls <- t.calls + 1;
   let started = Sim.now t.sim in
   let sp = Span.begin_ t.sim ~cat:"offload" ~name in
-  let lg = Ledger.begin_ t.sim ~op:("offload/" ^ name) in
+  let lg = Ledger.begin_prefixed t.sim ~prefix:"offload/" ~name in
   let c = Costs.current () in
   (* Everything after the request message arrives on the Linux side. *)
   let serve () =

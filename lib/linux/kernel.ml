@@ -56,7 +56,7 @@ let noise_clock t =
 let syscall t ?profile ~name f =
   let started = Sim.now t.sim in
   let sp = Span.begin_ t.sim ~cat:"syscall" ~name in
-  let lg = Ledger.begin_ t.sim ~op:("syscall/" ^ name) in
+  let lg = Ledger.begin_prefixed t.sim ~prefix:"syscall/" ~name in
   Sim.delay t.sim (Costs.current ()).linux_syscall;
   Ledger.mark t.sim lg ~phase:"linux_crossing";
   let finish () =

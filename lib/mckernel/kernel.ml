@@ -75,7 +75,7 @@ let fastpath_registered t ~dev = Hashtbl.mem t.fastpaths dev
 let profiled t name f =
   let started = Sim.now t.sim in
   let sp = Span.begin_ t.sim ~cat:"syscall" ~name in
-  let lg = Ledger.begin_ t.sim ~op:("syscall/" ^ name) in
+  let lg = Ledger.begin_prefixed t.sim ~prefix:"syscall/" ~name in
   Sim.delay t.sim (Costs.current ()).lwk_syscall;
   Ledger.mark t.sim lg ~phase:"lwk_crossing";
   let finish () =

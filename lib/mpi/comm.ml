@@ -31,7 +31,7 @@ let profiled t name f =
   (* One end-to-end ledger per MPI call (collective step or pt2pt): the
      finer-grained attribution lives in the PSM/syscall/SDMA ledgers the
      call fans out into. *)
-  let lg = Ledger.begin_ t.sim ~op:("mpi/" ^ name) in
+  let lg = Ledger.begin_prefixed t.sim ~prefix:"mpi/" ~name in
   let finish () =
     Stats.Registry.add t.profile name (Sim.now t.sim -. started);
     Ledger.close t.sim lg ~phase:"call"

@@ -8,6 +8,8 @@ type t = {
      least doubling) only when a run lands beyond it, so a context holds
      memory for the TIDs it has used, not for the whole array. *)
   mutable slots : Extent.t;
+  (* Every TID below [low] is programmed, so first-fit starts there. *)
+  mutable low : int;
   mutable in_use : int;
   mutable programmed_total : int;
 }
@@ -18,7 +20,7 @@ let per_entry_write = 15.
 
 let create sim ~n_entries =
   if n_entries <= 0 then invalid_arg "Rcvarray.create: n_entries must be > 0";
-  { sim; capacity = n_entries; slots = Extent.empty; in_use = 0;
+  { sim; capacity = n_entries; slots = Extent.empty; low = 0; in_use = 0;
     programmed_total = 0 }
 
 let capacity t = t.capacity
@@ -31,7 +33,8 @@ let len_at t i = (t.slots :> int array).((2 * i) + 1)
 
 let programmed t ~table i = i < table && len_at t i > 0
 
-(* The first run of [n] free TIDs, scanning from TID 0. *)
+(* The first run of [n] free TIDs.  The scan starts at [low]: a scan
+   from TID 0 would pass only programmed TIDs before it. *)
 let find_free_run t n =
   let table = Extent.count t.slots in
   let rec scan start run i =
@@ -40,7 +43,7 @@ let find_free_run t n =
     else if run + 1 = n then Some start
     else scan start (run + 1) (i + 1)
   in
-  scan 0 0 0
+  scan t.low 0 t.low
 
 let grow t size =
   let table = Extent.count t.slots in
@@ -64,6 +67,7 @@ let program t cut =
   | Some base ->
     if base + n > Extent.count t.slots then grow t (base + n);
     Extent.write cut t.slots ~pos:base;
+    if base = t.low then t.low <- base + n;
     t.in_use <- t.in_use + n;
     t.programmed_total <- t.programmed_total + n;
     if Sim.in_process t.sim then
@@ -84,6 +88,7 @@ let unprogram t ~tid_base ~count =
   for i = tid_base to tid_base + count - 1 do
     slots.((2 * i) + 1) <- 0
   done;
+  if count > 0 then t.low <- Int.min t.low tid_base;
   (* A non-positive count (user space may pass one) frees nothing. *)
   t.in_use <- t.in_use - Int.max count 0;
   if Sim.in_process t.sim then

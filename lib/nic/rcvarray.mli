@@ -25,8 +25,9 @@ val capacity : t -> int
 
 val in_use : t -> int
 
-(** [program t cut] allocates the first free run of TIDs (scanning from
-    TID 0) that fits [cut]'s extents, writes one entry per extent into
+(** [program t cut] allocates the first free run of TIDs (the lowest
+    base; the scan skips the fully programmed prefix) that fits [cut]'s
+    extents, writes one entry per extent into
     it and returns the base TID, or [None] when the array has no such
     run.  Charges simulated device-write time to the caller.
     @raise Invalid_argument if [cut] yields no extent, or is [Extents]

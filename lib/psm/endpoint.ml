@@ -18,6 +18,18 @@ type os = {
   nanosleep : float -> unit;
 }
 
+exception Truncated of { src : int; tag : int64; msg_len : int; buf_len : int }
+
+let () =
+  Printexc.register_printer (function
+    | Truncated { src; tag; msg_len; buf_len } ->
+      Some
+        (Printf.sprintf
+           "Endpoint.Truncated: a %d B message from rank %d (tag %#Lx) \
+            matched a %d B receive"
+           msg_len src tag buf_len)
+    | _ -> None)
+
 (* --- request state machines -------------------------------------------- *)
 
 type window = {
@@ -303,12 +315,18 @@ let start_rendezvous t req (r : recv_st) ~src =
   go depth;
   Ledger.mark t.os.sim req.lg ~phase:"window_grant"
 
+(* MPI_ERR_TRUNCATE under errors-are-fatal: a message longer than the
+   receive it matched fails at match time, before any byte is placed or
+   any TID window registered.  So a matched message always fits. *)
+let check_fits (r : recv_st) ~src ~tag ~msg_len =
+  if msg_len > r.r_len then
+    raise (Truncated { src; tag; msg_len; buf_len = r.r_len })
+
 (* Copy one eager fragment into the user buffer. *)
 let place_fragment t (r : recv_st) ~offset ~frag_len ~payload =
   (match payload with
    | Some data when frag_len > 0 ->
-     let take = min frag_len (max 0 (r.r_len - offset)) in
-     if take > 0 then t.os.write_user (r.r_va + offset) (Bytes.sub data 0 take)
+     t.os.write_user (r.r_va + offset) (Bytes.sub data 0 frag_len)
    | _ -> ());
   memcpy_charge t frag_len;
   r.r_done <- r.r_done + frag_len
@@ -337,6 +355,7 @@ let continue_active t req ~src ~offset ~frag_len ~payload =
   | Send _ -> assert false
 
 let adopt_unexpected t req (r : recv_st) ~src (u : unexp) =
+  check_fits r ~src ~tag:r.r_got_tag ~msg_len:u.u_msg_len;
   r.r_src <- Some src;
   r.r_msg_id <- u.u_msg_id;
   r.r_msg_len <- u.u_msg_len;
@@ -402,6 +421,7 @@ let handle_eager t (e : Wire.header) (payload : bytes option) =
         | Some req ->
           (match req.kind with
            | Recv r ->
+             check_fits r ~src:src_rank ~tag ~msg_len;
              r.r_src <- Some src_rank;
              r.r_msg_id <- msg_id;
              r.r_msg_len <- msg_len;
@@ -427,6 +447,7 @@ let handle_rts t (tag, msg_id, msg_len, src_rank) =
   | Some req ->
     (match req.kind with
      | Recv r ->
+       check_fits r ~src:src_rank ~tag ~msg_len;
        r.r_src <- Some src_rank;
        r.r_msg_id <- msg_id;
        r.r_msg_len <- msg_len;

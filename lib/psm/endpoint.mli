@@ -43,6 +43,13 @@ type t
 
 type req
 
+(** A matched message is longer than the receive it matched
+    (MPI_ERR_TRUNCATE, with errors fatal).  Raised at match time, before
+    any byte is placed or any TID window registered: by {!irecv} when it
+    matches an unexpected message, otherwise by the progress call that
+    handles the message's first eager packet or its RTS. *)
+exception Truncated of { src : int; tag : int64; msg_len : int; buf_len : int }
+
 (** [create os] opens the endpoint (allocates the scratch page used for
     writev headers and ioctl arguments). *)
 val create : os -> t

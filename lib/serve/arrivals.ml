@@ -13,20 +13,25 @@ let armed () =
   let c = Costs.current () in
   c.Costs.serve_horizon > 0. && c.Costs.serve_arrival_interval > 0.
 
-(* Inverse CDF of the bounded Pareto on [lo, hi] with shape [alpha]. *)
-let bounded_pareto rng ~lo ~hi ~alpha =
-  if hi <= lo then lo
+(* Inverse CDF of the bounded Pareto on [lo, hi] with shape [alpha].
+   The powers depend on the knobs only, so a plan takes them once; each
+   draw keeps every operand of the closed form. *)
+let bounded_pareto ~lo ~hi ~alpha =
+  if hi <= lo then fun _ -> lo
   else begin
-    let u = Rng.float rng in
     let l = float_of_int lo and h = float_of_int hi in
     let la = l ** alpha and ha = h ** alpha in
-    let x = (-.(u *. ha -. u *. la -. ha) /. (ha *. la)) ** (-1. /. alpha) in
-    min hi (max lo (int_of_float x))
+    let hala = ha *. la and expo = -1. /. alpha in
+    fun rng ->
+      let u = Rng.float rng in
+      let x = (-.(u *. ha -. u *. la -. ha) /. hala) ** expo in
+      min hi (max lo (int_of_float x))
   end
 
 (* Burst episodes: exponential gaps between windows of fixed duration.
-   Returned newest-last; [at] instants inside a window use the boosted
-   arrival rate. *)
+   Returned newest-last, so sorted and disjoint by construction (each
+   window starts at or after the previous one's end); [at] instants
+   inside a window use the boosted arrival rate. *)
 let burst_windows rng ~horizon =
   let c = Costs.current () in
   if c.Costs.serve_burst_interval <= 0. then []
@@ -41,8 +46,12 @@ let burst_windows rng ~horizon =
     go 0. []
   end
 
-let in_burst windows t =
-  List.exists (fun (s, e) -> t >= s && t < e) windows
+(* The windows not over at [t].  Windows are sorted and disjoint and
+   the instants asked about only grow, so one that ends at or before
+   [t] holds no later instant either, and only the head can hold [t]. *)
+let rec unexpired t = function
+  | (_, e) :: rest when e <= t -> unexpired t rest
+  | ws -> ws
 
 let plan ~split () =
   if not (armed ()) then [||]
@@ -61,21 +70,29 @@ let plan ~split () =
     let boosted = interval /. Float.max 1. c.Costs.serve_burst_factor in
     let req_mean = Float.max 1. (float_of_int (c.Costs.serve_req_bytes - 64)) in
     let req_cap = max 64 (min 16_384 (4 * c.Costs.serve_req_bytes)) in
-    let rec go t acc =
-      let mean = if in_burst windows t then boosted else interval in
+    let draw_resp =
+      bounded_pareto ~lo:c.Costs.serve_resp_min ~hi:c.Costs.serve_resp_max
+        ~alpha:c.Costs.serve_resp_alpha
+    in
+    (* One pass over arrivals and windows: [ws] is a cursor that only
+       moves forward. *)
+    let rec go t ws acc =
+      let ws = unexpired t ws in
+      let mean =
+        match ws with
+        | (s, e) :: _ when t >= s && t < e -> boosted
+        | _ -> interval
+      in
       let t = t +. Rng.exponential arr_rng ~mean in
       if t >= horizon then List.rev acc
       else begin
         let req_bytes =
           min req_cap (64 + int_of_float (Rng.exponential size_rng ~mean:req_mean))
         in
-        let resp_bytes =
-          bounded_pareto size_rng ~lo:c.Costs.serve_resp_min
-            ~hi:c.Costs.serve_resp_max ~alpha:c.Costs.serve_resp_alpha
-        in
+        let resp_bytes = draw_resp size_rng in
         let key = Rng.int key_rng 0x3FFF_FFFF in
-        go t ({ at = t; req_bytes; resp_bytes; key } :: acc)
+        go t ws ({ at = t; req_bytes; resp_bytes; key } :: acc)
       end
     in
-    Array.of_list (go 0. [])
+    Array.of_list (go 0. windows [])
   end

@@ -458,6 +458,49 @@ let check_rcv_program name ~junk ~slack cut ref_entries =
     List.iteri (fun i _ -> slots.(tid_base + i) <- None) ref_entries;
     check_readback (name ^ " after unprogram") r slots
 
+(* First-fit over any interleaving of registrations and frees equals the
+   option-per-slot scan from TID 0: runs freed out of order leave holes
+   that a later, smaller run must fill, and a run placed above a hole
+   too small for it must not hide that hole. *)
+let prop_rcvarray_first_fit =
+  QCheck2.Test.make ~name:"first fit = scan-from-0 reference" ~count:300
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity=%d ops=[%s]" capacity
+        (String.concat "; "
+           (List.map
+              (fun (prog, n, pick) ->
+                if prog then Printf.sprintf "program %d" n
+                else Printf.sprintf "free #%d" pick)
+              ops)))
+    QCheck2.Gen.(
+      pair (int_range 1 24)
+        (list_size (int_range 1 40)
+           (triple bool (int_range 1 6) (int_range 0 1000))))
+    (fun (capacity, ops) ->
+      let r = Rcvarray.create (Sim.create ()) ~n_entries:capacity in
+      let slots = Array.make capacity None in
+      let live = ref [] in
+      List.iteri
+        (fun step (prog, n, pick) ->
+          if prog || !live = [] then begin
+            let run =
+              List.init n (fun i -> (((64 * step) + i + 1) * 4096, 4096))
+            in
+            let base = Rcvarray.program r (entries run) in
+            if base <> ref_program slots run then
+              QCheck2.Test.fail_reportf "step %d: base differs" step;
+            Option.iter (fun b -> live := (b, n) :: !live) base
+          end
+          else begin
+            let ((b, n) as run) = List.nth !live (pick mod List.length !live) in
+            Rcvarray.unprogram r ~tid_base:b ~count:n;
+            for i = b to b + n - 1 do slots.(i) <- None done;
+            live := List.filter (( <> ) run) !live
+          end;
+          check_readback (Printf.sprintf "step %d" step) r slots)
+        ops;
+      true)
+
 let prop_extent_cuts =
   QCheck2.Test.make ~name:"extent cuts = per-page list reference" ~count:300
     ~print:(fun (off, len, junk, slack) ->
@@ -1184,7 +1227,8 @@ let () =
          Alcotest.test_case "double unprogram" `Quick test_rcvarray_double_unprogram;
          Alcotest.test_case "bad unprogram moves nothing" `Quick
            test_rcvarray_bad_unprogram_moves_nothing;
-         Alcotest.test_case "entries of run" `Quick test_rcvarray_entries_of_run ]);
+         Alcotest.test_case "entries of run" `Quick test_rcvarray_entries_of_run;
+         qc prop_rcvarray_first_fit ]);
       ("extent", [ qc prop_extent_cuts ]);
       ("user_api",
        [ Alcotest.test_case "sdma roundtrip" `Quick test_user_api_sdma_roundtrip;

@@ -380,58 +380,119 @@ let test_rcvarray_exhaustion_fallback () =
           (Option.get (Pico_nic.Hfi.context env.H.Cluster.hfi 0))));
   Alcotest.(check bool) "fallback delivered intact" true !ok
 
+(* Rank 0 sends [plan]'s messages, (length, tag) each, in plan order;
+   rank 1 sizes one receive buffer per message and posts them in
+   reverse order, to stress matching.  [Ok got] gives, per receive, the
+   source, the length received and the bytes placed; [Error e] is the
+   [Endpoint.Truncated] that failed the run. *)
+let run_plan plan =
+  let plan = Array.of_list plan in
+  let n = Array.length plan in
+  let got = Array.make n (-1, -1, Bytes.empty) in
+  let truncated = ref None in
+  (try
+     run_pair (fun comm ->
+         let ep = comm.Comm.ep in
+         if comm.Comm.rank = 0 then begin
+           let reqs =
+             Array.mapi
+               (fun i (len, tag) ->
+                 let buf = alloc comm len in
+                 write comm buf (pattern (i + 2) len);
+                 Endpoint.isend ep ~dst:1 ~tag:(Int64.of_int tag) ~va:buf
+                   ~len)
+               plan
+           in
+           Array.iter (Endpoint.wait ep) reqs
+         end
+         else begin
+           let bufs = Array.map (fun (len, _) -> alloc comm len) plan in
+           (try
+              let reqs =
+                List.map
+                  (fun j ->
+                    let len, tag = plan.(j) in
+                    ( j,
+                      Endpoint.irecv ep ~src:(Some 0) ~tag:(Int64.of_int tag)
+                        ~va:bufs.(j) ~len () ))
+                  (List.init n (fun k -> n - 1 - k))
+              in
+              List.iter (fun (_, r) -> Endpoint.wait ep r) reqs;
+              List.iter
+                (fun (j, r) ->
+                  let src, len = Endpoint.recv_info r in
+                  got.(j) <- (src, len, read comm bufs.(j) len))
+                reqs
+            with Endpoint.Truncated _ as e ->
+              truncated := Some e;
+              raise e)
+         end;
+         Pico_mpi.Collectives.barrier comm)
+   with Failure _ when Option.is_some !truncated -> ());
+  match !truncated with Some e -> Error e | None -> Ok got
+
+(* MPI's matching rule: the k-th send with tag T pairs with the k-th
+   receive posted with tag T.  Receives are posted from the last plan
+   index down, so receive [j] is the k-th of its tag where k counts the
+   same-tag receives above [j].  Returns each receive's send. *)
+let mpi_partners plan =
+  let plan = Array.of_list plan in
+  let n = Array.length plan in
+  Array.init n (fun j ->
+      let tag = snd plan.(j) in
+      let same =
+        List.filter (fun i -> snd plan.(i) = tag) (List.init n Fun.id)
+      in
+      List.nth same (List.length (List.filter (fun i -> i > j) same)))
+
 (* Property: a random batch of messages (mixed sizes straddling the
-   eager threshold, random tags) between two ranks always completes with
-   every payload intact, regardless of posting order. *)
+   eager threshold, random tags, duplicates included) between two ranks
+   has MPI's outcome whatever the posting order: the run fails with
+   [Endpoint.Truncated], naming a pair, exactly when some send is longer
+   than the receive it pairs with; otherwise every receive holds its
+   paired send's payload. *)
 let prop_random_message_plan =
   QCheck2.Test.make ~name:"random message plan completes intact" ~count:12
     QCheck2.Gen.(
       list_size (int_range 1 6)
         (pair (int_range 1 (300 * 1024)) (int_range 0 1000)))
     (fun plan ->
-      let ok = ref true in
-      run_pair (fun comm ->
-          let ep = comm.Comm.ep in
-          let n = List.length plan in
-          if comm.Comm.rank = 0 then begin
-            let reqs =
-              List.mapi
-                (fun i (len, tag) ->
-                  let buf = alloc comm len in
-                  write comm buf (pattern (i + 2) len);
-                  Endpoint.isend ep ~dst:1 ~tag:(Int64.of_int tag) ~va:buf
-                    ~len)
-                plan
-            in
-            List.iter (Endpoint.wait ep) reqs
-          end
-          else begin
-            (* Post in reverse order to stress matching. *)
-            let posts =
-              List.mapi
-                (fun i (len, tag) ->
-                  let buf = alloc comm len in
-                  (i, len, tag, buf))
-                plan
-              |> List.rev
-            in
-            let reqs =
-              List.map
-                (fun (i, len, tag, buf) ->
-                  ( i, len, buf,
-                    Endpoint.irecv ep ~src:(Some 0) ~tag:(Int64.of_int tag)
-                      ~va:buf ~len () ))
-                posts
-            in
-            List.iter (fun (_, _, _, r) -> Endpoint.wait ep r) reqs;
-            List.iter
-              (fun (i, len, buf, _) ->
-                if read comm buf len <> pattern (i + 2) len then ok := false)
-              reqs;
-            ignore n
-          end;
-          Pico_mpi.Collectives.barrier comm);
-      !ok)
+      let partner = mpi_partners plan in
+      let lens = Array.of_list (List.map fst plan) in
+      let tags = Array.of_list (List.map snd plan) in
+      let truncating j = lens.(partner.(j)) > lens.(j) in
+      match run_plan plan with
+      | Error (Endpoint.Truncated { src; tag; msg_len; buf_len }) ->
+        src = 0
+        && List.exists
+             (fun j ->
+               truncating j
+               && Int64.of_int tags.(j) = tag
+               && lens.(partner.(j)) = msg_len
+               && lens.(j) = buf_len)
+             (List.init (Array.length lens) Fun.id)
+      | Error _ -> false
+      | Ok got ->
+        let intact j (src, len, data) =
+          let i = partner.(j) in
+          (not (truncating j))
+          && src = 0
+          && len = lens.(i)
+          && Bytes.equal data (pattern (i + 2) lens.(i))
+        in
+        Array.for_all Fun.id (Array.mapi intact got))
+
+(* 1 B, 1 B and 65,537 B on tag 0, received in reverse: receive 0, a
+   1 B buffer posted last, pairs with the 65,537 B rendezvous.  The run
+   must fail at its RTS, before a TID registration runs past the 1 B
+   buffer's mapping. *)
+let test_truncated_receive () =
+  match run_plan [ (1, 0); (1, 0); (65_537, 0) ] with
+  | Error (Endpoint.Truncated { src; tag; msg_len; buf_len }) ->
+    Alcotest.(check (list int)) "src, tag, msg_len, buf_len" [ 0; 0; 65_537; 1 ]
+      [ src; Int64.to_int tag; msg_len; buf_len ]
+  | Error e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "the oversize receive completed"
 
 let () =
   Alcotest.run "psm"
@@ -464,4 +525,6 @@ let () =
            test_with_tid_cache_restores_on_exception;
          Alcotest.test_case "rcvarray exhaustion fallback" `Quick
            test_rcvarray_exhaustion_fallback;
+         Alcotest.test_case "truncated receive fails loudly" `Quick
+           test_truncated_receive;
          QCheck_alcotest.to_alcotest prop_random_message_plan ]) ]

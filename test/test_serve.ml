@@ -1,5 +1,6 @@
 (* Tests for the sharded service workload (lib/serve): arrival-plan
-   determinism (same seed => same plan, in any domain), the zero-knob
+   determinism (same seed => same plan, in any domain), bit-exactness
+   against the list-scan reference plan, the zero-knob
    inertness law (the defaults return an empty plan without taking the
    caller's RNG split), an end-to-end run with admission shedding and
    breaker trips live, and shard-on/off identity of the full result
@@ -69,6 +70,163 @@ let prop_plan_shape =
                   (fun (ok, prev) (a : Arrivals.request) ->
                     (ok && a.Arrivals.at >= prev, a.Arrivals.at))
                   (true, 0.) plan)))
+
+(* Reference plan: the sub-streams, draws and float expressions of
+   [Arrivals.plan], with no cursor and nothing hoisted — every arrival
+   scans every burst window ([in_burst]) and every Pareto draw takes
+   its own powers. *)
+let reference_plan ~split () =
+  let c = Costs.current () in
+  if not (c.Costs.serve_horizon > 0. && c.Costs.serve_arrival_interval > 0.)
+  then [||]
+  else begin
+    let rng = split () in
+    let arr_rng = Rng.split rng in
+    let size_rng = Rng.split rng in
+    let key_rng = Rng.split rng in
+    let burst_rng = Rng.split rng in
+    let horizon = c.Costs.serve_horizon in
+    let windows =
+      if c.Costs.serve_burst_interval <= 0. then []
+      else begin
+        let rec go t acc =
+          let s =
+            t +. Rng.exponential burst_rng ~mean:c.Costs.serve_burst_interval
+          in
+          if s >= horizon then List.rev acc
+          else
+            let e = s +. c.Costs.serve_burst_duration in
+            go e ((s, e) :: acc)
+        in
+        go 0. []
+      end
+    in
+    let in_burst t = List.exists (fun (s, e) -> t >= s && t < e) windows in
+    let bounded_pareto ~lo ~hi ~alpha =
+      if hi <= lo then lo
+      else begin
+        let u = Rng.float size_rng in
+        let l = float_of_int lo and h = float_of_int hi in
+        let la = l ** alpha and ha = h ** alpha in
+        let x =
+          (-.(u *. ha -. u *. la -. ha) /. (ha *. la)) ** (-1. /. alpha)
+        in
+        min hi (max lo (int_of_float x))
+      end
+    in
+    let interval = c.Costs.serve_arrival_interval in
+    let boosted = interval /. Float.max 1. c.Costs.serve_burst_factor in
+    let req_mean =
+      Float.max 1. (float_of_int (c.Costs.serve_req_bytes - 64))
+    in
+    let req_cap = max 64 (min 16_384 (4 * c.Costs.serve_req_bytes)) in
+    let rec go t acc =
+      let mean = if in_burst t then boosted else interval in
+      let t = t +. Rng.exponential arr_rng ~mean in
+      if t >= horizon then List.rev acc
+      else begin
+        let req_bytes =
+          min req_cap
+            (64 + int_of_float (Rng.exponential size_rng ~mean:req_mean))
+        in
+        let resp_bytes =
+          bounded_pareto ~lo:c.Costs.serve_resp_min ~hi:c.Costs.serve_resp_max
+            ~alpha:c.Costs.serve_resp_alpha
+        in
+        let key = Rng.int key_rng 0x3FFF_FFFF in
+        go t ({ Arrivals.at = t; req_bytes; resp_bytes; key } :: acc)
+      end
+    in
+    Array.of_list (go 0. [])
+  end
+
+type knobs = {
+  k_seed : int;
+  k_interval : float;
+  k_horizon : float;
+  k_burst_interval : float;
+  k_burst_duration : float;
+  k_burst_factor : float;
+  k_req_bytes : int;
+  k_resp_min : int;
+  k_resp_max : int;
+  k_alpha : float;
+}
+
+let show_knobs k =
+  Printf.sprintf
+    "seed=%d interval=%h horizon=%h burst_interval=%h burst_duration=%h \
+     burst_factor=%h req_bytes=%d resp=[%d, %d] alpha=%h"
+    k.k_seed k.k_interval k.k_horizon k.k_burst_interval k.k_burst_duration
+    k.k_burst_factor k.k_req_bytes k.k_resp_min k.k_resp_max k.k_alpha
+
+(* Bursts off or on; windows of zero length, shorter than the mean gap
+   between them or longer; a burst factor that boosts or does not; and
+   Pareto bounds in either order. *)
+let gen_knobs =
+  let open QCheck2.Gen in
+  let* k_seed = int_range 0 1_000_000
+  and* k_interval = float_range 50. 5_000.
+  and* planned = int_range 1 800 in
+  let* k_burst_interval =
+    oneof [ pure 0.; float_range (0.5 *. k_interval) (50. *. k_interval) ]
+  in
+  let* k_burst_duration =
+    oneof
+      [ pure 0.;
+        map (fun f -> f *. k_burst_interval) (float_range 0.01 0.99);
+        map (fun f -> f *. k_burst_interval) (float_range 1.01 4.) ]
+  and* k_burst_factor = oneof [ float_range 0. 1.; float_range 1.01 8. ]
+  and* k_req_bytes = int_range 1 8_192
+  and* k_resp_min = int_range 1 100_000
+  and* spread = int_range (-1_000) 1_000_000
+  and* k_alpha = float_range 0.3 3. in
+  return
+    { k_seed; k_interval; k_horizon = k_interval *. float_of_int planned;
+      k_burst_interval; k_burst_duration; k_burst_factor; k_req_bytes;
+      k_resp_min; k_resp_max = k_resp_min + spread; k_alpha }
+
+let with_knobs k f =
+  Costs.with_patched
+    (fun c ->
+      c.Costs.serve_arrival_interval <- k.k_interval;
+      c.Costs.serve_horizon <- k.k_horizon;
+      c.Costs.serve_burst_interval <- k.k_burst_interval;
+      c.Costs.serve_burst_duration <- k.k_burst_duration;
+      c.Costs.serve_burst_factor <- k.k_burst_factor;
+      c.Costs.serve_req_bytes <- k.k_req_bytes;
+      c.Costs.serve_resp_min <- k.k_resp_min;
+      c.Costs.serve_resp_max <- k.k_resp_max;
+      c.Costs.serve_resp_alpha <- k.k_alpha)
+    f
+
+let same_request (a : Arrivals.request) (b : Arrivals.request) =
+  Int64.equal (Int64.bits_of_float a.Arrivals.at)
+    (Int64.bits_of_float b.Arrivals.at)
+  && a.Arrivals.req_bytes = b.Arrivals.req_bytes
+  && a.Arrivals.resp_bytes = b.Arrivals.resp_bytes
+  && a.Arrivals.key = b.Arrivals.key
+
+let prop_plan_reference =
+  QCheck2.Test.make ~name:"plan = list-scan reference (bit-exact)" ~count:200
+    ~print:show_knobs gen_knobs
+    (fun k ->
+      with_knobs k (fun () ->
+          let build f =
+            let rng = Rng.create ~seed:(Int64.of_int k.k_seed) in
+            f ~split:(fun () -> Rng.split rng) ()
+          in
+          let got = build Arrivals.plan and want = build reference_plan in
+          if Array.length got <> Array.length want then
+            QCheck2.Test.fail_reportf "%d arrivals, reference %d"
+              (Array.length got) (Array.length want);
+          Array.iteri
+            (fun i a ->
+              if not (same_request a want.(i)) then
+                QCheck2.Test.fail_reportf "arrival %d of %d differs" i
+                  (Array.length got))
+            got;
+          true))
 
 let test_zero_knob_no_split () =
   (* At the zero defaults the plan must be empty and the split witness
@@ -196,6 +354,7 @@ let () =
     [ ("arrivals",
        [ qc prop_plan_deterministic;
          qc prop_plan_shape;
+         qc prop_plan_reference;
          Alcotest.test_case "zero-knob defaults take no split" `Quick
            test_zero_knob_no_split ]);
       ("serve",
