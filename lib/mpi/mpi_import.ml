@@ -6,5 +6,4 @@ module Addr = Pico_hw.Addr
 module Endpoint = Pico_psm.Endpoint
 module Hfi = Pico_nic.Hfi
 module Fabric = Pico_nic.Fabric
-module Psm_config = Pico_psm.Config
 module Costs = Pico_costs.Costs

@@ -13,7 +13,7 @@ type tier_stats = {
 
 (* Packets bound for one node at one instant, buffered until the
    tail-of-instant flush delivers them in content order — see the note
-   at [send_at].  Items are (src_node, send order, packet, sink), in
+   at [send].  Items are (src_node, send order, packet, sink), in
    reverse buffering order. *)
 type batch = (int * int * Wire.packet * (Wire.packet -> unit)) list ref
 
@@ -229,7 +229,8 @@ let flat_faulted_arrival t lf ~time (p : Wire.packet) =
   Hashtbl.replace t.flat_last key a;
   a
 
-let send_at t ~time (p : Wire.packet) =
+let send t (p : Wire.packet) =
+  let time = Sim.now t.sim in
   match Hashtbl.find_opt t.sinks p.dst_node with
   | None ->
     invalid_arg
@@ -337,20 +338,9 @@ let send_at t ~time (p : Wire.packet) =
       Sim.at t.sim egress (fun () -> hop_walk t rx p hops)
     end
 
-let send t p = send_at t ~time:(Sim.now t.sim) p
-
 let quiet t =
   Topology.is_flat t.topo
   || Hashtbl.fold (fun _ l acc -> acc && Link.idle l) t.links true
-
-let route_quiet t ~src ~dst ~dst_ctx =
-  Topology.is_flat t.topo || src = dst
-  || List.for_all
-       (fun hop ->
-         match Hashtbl.find_opt t.links hop with
-         | None -> true (* never instantiated: nothing ever crossed it *)
-         | Some l -> Link.idle l)
-       (Route.Memo.route t.routes ~src ~dst ~dst_ctx)
 
 let packets_delivered t = t.packets
 

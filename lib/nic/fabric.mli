@@ -55,29 +55,19 @@ val detach : t -> node_id:int -> unit
     @raise Invalid_argument if the destination is not attached *)
 val send : t -> Wire.packet -> unit
 
-(** [send_at t ~time packet] is {!send} as if issued at absolute [time]
-    (entering the fabric at [time]).  Batched packet trains use it to
-    give each packet of the train the exact egress instant the
-    per-packet path would have produced. *)
-val send_at : t -> time:float -> Wire.packet -> unit
-
 (** {2 Congestion coupling to the HFIs}
 
-    Batched packet trains (see {!Hfi}) must fall back to per-packet
-    processing whenever fabric links are contended: HFIs gate train
-    formation on {!quiet}/{!route_quiet}, and the fabric calls every
-    registered train-abort hook — in node-id order, so worker-domain
-    schedules cannot reorder them — whenever a packet arrives at a busy
-    link.  Under [Flat] there are no links: both predicates are
-    constant [true] and no hook ever fires, keeping the calibrated
+    A batched SDMA request train (see {!Hfi}) must fall back to
+    per-request processing whenever fabric links are contended: HFIs gate
+    train formation on {!quiet}, and the fabric calls every registered
+    train-abort hook — in node-id order, so worker-domain schedules
+    cannot reorder them — whenever a packet arrives at a busy link or is
+    parked by a down window.  Under [Flat] there are no links: {!quiet}
+    is constant [true] and no hook ever fires, keeping the calibrated
     figures byte-identical. *)
 
 (** No link of the whole fabric is busy or queued. *)
 val quiet : t -> bool
-
-(** No link on the route of flow [(src, dst, dst_ctx)] is busy or
-    queued. *)
-val route_quiet : t -> src:int -> dst:int -> dst_ctx:int -> bool
 
 (** [set_train_abort t ~node_id ~abort] registers (replacing any
     previous hook of that node) a non-blocking callback invoked on

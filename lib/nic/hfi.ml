@@ -32,28 +32,6 @@ type train = {
   mutable tr_abort_gap : bool;
 }
 
-(* A batched PIO fragment train in progress: the sending process sleeps
-   until [pt_t2.(n-1)] while per-fragment wire occupancy exists only as
-   this precomputed schedule, and each fragment's fabric egress is a
-   pre-scheduled event at its exact per-packet instant behind the
-   [pt_abort_i] guard.  Any process that wants the wire mid-train calls
-   {!maybe_abort_train}: fragments strictly before the abort boundary
-   keep their pre-scheduled sends, the boundary fragment commits only if
-   its wire occupancy already began, and the sender wakes at the exact
-   per-packet boundary to emit the rest through the real per-packet
-   sequence (CPU-store delay, wire [Resource], egress). *)
-type ptrain = {
-  pt_delay : float array; (* CPU store + packet overhead of fragment i *)
-  pt_work : float array; (* wire occupancy of fragment i *)
-  pt_t1 : float array; (* wire acquire instant of fragment i *)
-  pt_t2 : float array; (* wire release / egress instant of fragment i *)
-  pt_send : int -> unit; (* emit fragment i on the fabric, count stats *)
-  mutable pt_gen : int; (* guard generation: stale wake-ups are no-ops *)
-  mutable pt_resume : (unit -> unit) option;
-  mutable pt_abort_i : int; (* [max_int] while unaborted *)
-  mutable pt_abort_gap : bool;
-}
-
 type t = {
   sim : Sim.t;
   node : Node.t;
@@ -71,7 +49,6 @@ type t = {
   mutable pio_packets : int;
   mutable pio_bytes : int;
   mutable train : train option;
-  mutable ptrain : ptrain option;
   (* Wire CRC fault hook: consulted once per packet put on the wire (and
      once per replay).  [None] in the sunny-day model; installing it also
      disables packet-train batching, since a train's closed form cannot
@@ -140,18 +117,21 @@ let rx_dispatch t (p : Wire.packet) =
 
 (* --- Packet-train batching ------------------------------------------------
 
-   When a multi-event train (SDMA request list, PIO fragment loop) is
-   provably alone on this HFI — at most one open context, the wire
-   [Resource] idle, and no other SDMA transfer in flight — its per-event
-   delays are deterministic, so the train can be charged in closed form:
-   one event at the train's end, computed with the {e exact} sequence of
-   float additions the per-event path performs (float [+.] is not
+   When an SDMA request train is provably alone on this HFI — at most
+   one open context, the wire [Resource] idle, no other SDMA transfer in
+   flight and no fabric link busy — its per-request delays are
+   deterministic, so the train can be charged in closed form: one event
+   at the train's end, computed with the {e exact} sequence of float
+   additions the per-request path performs (float [+.] is not
    associative, so no n*x shortcuts).  Per-packet wire overhead
    ([packet_overhead_bytes] in {!wire_time}) and per-request engine
-   overhead are still charged for every packet of the train, and the wire
-   resource is held for the train's duration, so contention semantics and
-   the paper's 4 kB/10 kB request-size gap are untouched.  Any contention
-   visible at train start falls back to per-packet emission. *)
+   overhead are still charged for every request of the train, and the
+   wire resource is held for the train's duration, so contention
+   semantics and the paper's 4 kB/10 kB request-size gap are untouched;
+   any wire user that arrives mid-train aborts it back onto the
+   per-request path ({!maybe_abort_train}).  PIO sends are per-packet
+   only: a closed-form PIO fragment train measured slower than the loop
+   it shadowed (it added more processed events than it elided). *)
 
 (* Test hook: byte-identity of batched vs per-packet execution is checked
    by running both settings (test_nic); never mutated inside a sweep. *)
@@ -172,15 +152,6 @@ let schedule_guard t (tr : train) gen time =
           r ()
         | None -> ())
 
-let schedule_pguard t (tr : ptrain) gen time =
-  Sim.at t.sim time (fun () ->
-      if tr.pt_gen = gen then
-        match tr.pt_resume with
-        | Some r ->
-          tr.pt_resume <- None;
-          r ()
-        | None -> ())
-
 (* A process wants this HFI's wire while a batched SDMA train is in
    flight: convert the train's remaining tail back to per-packet
    processing, positioned exactly where the per-packet path would be at
@@ -192,53 +163,26 @@ let schedule_pguard t (tr : ptrain) gen time =
    of the in-progress engine overhead gap (wire released now, as the
    per-packet engine would not be holding it). *)
 let maybe_abort_train t =
-  (match t.train with
-   | None -> ()
-   | Some tr ->
-     t.train_aborts <- t.train_aborts + 1;
-     let now = Sim.now t.sim in
-     let n = Array.length tr.tr_t2 in
-     let rec find i =
-       if i >= n then n - 1 (* at train end: the engine wake is still pending *)
-       else if tr.tr_t2.(i) > now then i
-       else find (i + 1)
-     in
-     let i = find 0 in
-     let gap = now < tr.tr_t1.(i) in
-     Resource.account_many t.wire ~n:i ~starts:tr.tr_t1 ~ends:tr.tr_t2;
-     tr.tr_abort_i <- i;
-     tr.tr_abort_gap <- gap;
-     if gap then Resource.release t.wire;
-     tr.tr_gen <- tr.tr_gen + 1;
-     schedule_guard t tr tr.tr_gen (if gap then tr.tr_t1.(i) else tr.tr_t2.(i));
-     t.train <- None);
-  (* A PIO fragment train aborts by the same rewind rule.  Committed
-     fragments (strictly before the boundary, plus the boundary itself
-     when its wire occupancy already began) keep their pre-scheduled
-     egress events; the sender is re-targeted to wake at the current
-     per-packet boundary and emits the rest per-packet. *)
-  match t.ptrain with
+  match t.train with
   | None -> ()
   | Some tr ->
     t.train_aborts <- t.train_aborts + 1;
     let now = Sim.now t.sim in
-    let n = Array.length tr.pt_t2 in
+    let n = Array.length tr.tr_t2 in
     let rec find i =
-      if i >= n then n - 1 (* at train end: the sender wake is still pending *)
-      else if tr.pt_t2.(i) > now then i
+      if i >= n then n - 1 (* at train end: the engine wake is still pending *)
+      else if tr.tr_t2.(i) > now then i
       else find (i + 1)
     in
     let i = find 0 in
-    let gap = now < tr.pt_t1.(i) in
-    for j = 0 to i - 1 do
-      Resource.account t.wire ~waited:0. ~busy:(tr.pt_t2.(j) -. tr.pt_t1.(j))
-    done;
-    tr.pt_abort_i <- i;
-    tr.pt_abort_gap <- gap;
+    let gap = now < tr.tr_t1.(i) in
+    Resource.account_many t.wire ~n:i ~starts:tr.tr_t1 ~ends:tr.tr_t2;
+    tr.tr_abort_i <- i;
+    tr.tr_abort_gap <- gap;
     if gap then Resource.release t.wire;
-    tr.pt_gen <- tr.pt_gen + 1;
-    schedule_pguard t tr tr.pt_gen (if gap then tr.pt_t1.(i) else tr.pt_t2.(i));
-    t.ptrain <- None
+    tr.tr_gen <- tr.tr_gen + 1;
+    schedule_guard t tr tr.tr_gen (if gap then tr.tr_t1.(i) else tr.tr_t2.(i));
+    t.train <- None
 
 let abort_train = maybe_abort_train
 
@@ -376,7 +320,6 @@ let create sim ~node ~fabric ?(carry_payload = false)
       pio_packets = 0;
       pio_bytes = 0;
       train = None;
-      ptrain = None;
       crc_corrupt = None;
       crc_retransmits = 0;
       train_aborts = 0 }
@@ -440,149 +383,13 @@ let slice_payload payload ~offset ~len =
   | None -> None
   | Some b -> Some (Bytes.sub b offset len)
 
-(* Closed-form variant of [pio_send]'s fragment loop (see the batching
-   note above [train_alone]): one wake for the whole train; every
-   fragment still pays its own CPU-store and wire-overhead arithmetic
-   and leaves on the fabric at its exact per-packet egress instant.
-   Unlike the original pre-send-and-sleep form, the train registers as
-   [t.ptrain] and each egress sits behind the abort guard, so mid-train
-   wire contention — a sibling sender on this node, or a fabric
-   link-contention hook — rewinds the uncommitted tail to the exact
-   per-packet boundary instead of holding the wire against a contender
-   the per-packet path would have admitted into a CPU-store gap.  That
-   keeps batched-vs-per-packet byte-identity even for workloads with
-   concurrent senders per node, and makes the formation gate's
-   [Fabric.route_quiet] reading (transient link state) results-neutral:
-   whether or not the train forms, contention aborts it back onto the
-   one shared path. *)
-let pio_train t ~dst_node ~dst_ctx ~hdr ~len ?payload c =
-  ignore (Resource.acquire t.wire);
-  let n =
-    if len = 0 then 1
-    else (len + c.Costs.pio_packet_size - 1) / c.Costs.pio_packet_size
-  in
-  let delay = Array.make n 0. in
-  let work = Array.make n 0. in
-  let t1 = Array.make n 0. in
-  let t2 = Array.make n 0. in
-  let frags = Array.make n 0 in
-  let offs = Array.make n 0 in
-  let cur = ref (Sim.now t.sim) in
-  let off = ref 0 in
-  for i = 0 to n - 1 do
-    let frag = if len = 0 then 0 else min c.Costs.pio_packet_size (len - !off) in
-    frags.(i) <- frag;
-    offs.(i) <- !off;
-    delay.(i) <-
-      (if len = 0 then c.Costs.pio_packet_overhead
-       else
-         c.Costs.pio_packet_overhead
-         +. (float_of_int frag /. c.Costs.pio_cpu_bandwidth));
-    work.(i) <- wire_time frag;
-    let a = !cur +. delay.(i) in
-    let b = a +. work.(i) in
-    t1.(i) <- a;
-    t2.(i) <- b;
-    cur := b;
-    off := !off + frag
-  done;
-  let send i =
-    t.pio_packets <- t.pio_packets + 1;
-    if len = 0 then
-      Fabric.send t.fabric
-        { src_node = node_id t; dst_node; dst_ctx;
-          wire_len = Wire.header_bytes; header = hdr; payload = None }
-    else begin
-      let frag = frags.(i) in
-      t.pio_bytes <- t.pio_bytes + frag;
-      let payload =
-        if t.carry_payload then
-          slice_payload payload ~offset:offs.(i) ~len:frag
-        else None
-      in
-      Fabric.send t.fabric
-        { src_node = node_id t; dst_node; dst_ctx;
-          wire_len = frag + Wire.header_bytes;
-          header = rewrite_eager_hdr hdr ~offset:offs.(i) ~frag_len:frag;
-          payload }
-    end
-  in
-  let tr =
-    { pt_delay = delay; pt_work = work; pt_t1 = t1; pt_t2 = t2;
-      pt_send = send; pt_gen = 0; pt_resume = None; pt_abort_i = max_int;
-      pt_abort_gap = false }
-  in
-  t.ptrain <- Some tr;
-  (* Each fragment's egress fires at its exact per-packet instant — the
-     end of its wire occupancy — unless an abort rewound it first. *)
-  for i = 0 to n - 1 do
-    Sim.at t.sim t2.(i) (fun () ->
-        if i < tr.pt_abort_i || (i = tr.pt_abort_i && not tr.pt_abort_gap)
-        then tr.pt_send i)
-  done;
-  Sim.suspend t.sim (fun resume ->
-      tr.pt_resume <- Some resume;
-      schedule_pguard t tr 0 t2.(n - 1));
-  (match tr.pt_abort_i with
-   | i when i = max_int ->
-     (* Committed untouched: book every fragment, in order, and hand the
-        wire back at the exact instant the last one leaves. *)
-     for i = 0 to n - 1 do
-       Resource.account t.wire ~waited:0. ~busy:(t2.(i) -. t1.(i))
-     done;
-     t.ptrain <- None;
-     Resource.release t.wire;
-     Sim.note_elided t.sim (n - 1)
-   | i ->
-     (* Aborted: [t.ptrain] was already cleared; we woke at the exact
-        per-packet boundary and continue with the real per-packet
-        sequence (wire contention with the aborter included, and
-        sibling-train aborts before each wire use, like [use_wire]). *)
-     let per_packet j =
-       maybe_abort_train t;
-       Resource.use t.wire ~work:tr.pt_work.(j) (fun () -> ());
-       crc_replay t ~work:tr.pt_work.(j);
-       tr.pt_send j
-     in
-     let rest first =
-       for j = first to n - 1 do
-         Sim.delay t.sim tr.pt_delay.(j);
-         per_packet j
-       done
-     in
-     if tr.pt_abort_gap then begin
-       (* Woke at t1.(i): fragment [i]'s CPU store has elapsed and the
-          wire was released at abort time; send it per-packet. *)
-       per_packet i;
-       rest (i + 1);
-       Sim.note_elided t.sim (max 0 (i - 1))
-     end
-     else begin
-       (* Woke at t2.(i): fragment [i] just left the wire (its guarded
-          egress fired); book it and hand the wire to whoever queued
-          during it. *)
-       Resource.account t.wire ~waited:0. ~busy:(t2.(i) -. t1.(i));
-       Resource.release t.wire;
-       rest (i + 1);
-       Sim.note_elided t.sim i
-     end)
-
 let pio_send t ~dst_node ~dst_ctx ~hdr ~len ?payload () =
   let c = Costs.current () in
   let sp = Span.begin_ t.sim ~cat:"pio" ~name:"pio_send" in
-  (* Single-phase ledger: the batched train path has no interior
-     suspension points shared with the per-packet path, so only the
-     end-to-end boundaries are result-determined across engine modes. *)
+  (* Single-phase ledger: one [send] segment from the call to the last
+     fragment's egress, whatever the fragment count, so the breakdown's
+     pio/send keys do not depend on the message size. *)
   let lg = Ledger.begin_ t.sim ~op:"pio/send" in
-  (if
-    !batching
-    && dst_node <> node_id t
-    && train_alone t
-    && Sdma.in_flight t.sdma = 0
-    && Option.is_none t.crc_corrupt
-    && Fabric.route_quiet t.fabric ~src:(node_id t) ~dst:dst_node ~dst_ctx
-  then pio_train t ~dst_node ~dst_ctx ~hdr ~len ?payload c
-  else begin
   (* Loopback (shared-memory-style) traffic never touches the link. *)
   let use_wire work =
     if dst_node <> node_id t then begin
@@ -624,8 +431,7 @@ let pio_send t ~dst_node ~dst_ctx ~hdr ~len ?payload () =
       end
     in
     go 0
-  end
-  end);
+  end;
   Span.end_with t.sim sp (fun () ->
       [ ("dst", string_of_int dst_node); ("len", string_of_int len) ]);
   Ledger.close t.sim lg ~phase:"send"

@@ -85,18 +85,20 @@ val rcvarray : ctx -> Rcvarray.t
 
 (** {2 Transmit paths} *)
 
-(** Packet-train batching switch (default [true]).  Batching is
-    semantics-preserving — per-packet wire overhead, engine overhead and
-    contention fallback keep timings bit-identical — so this exists only
-    for the equivalence tests, which run every scenario under both
-    settings and compare.  Never toggled inside a parallel sweep. *)
+(** SDMA packet-train batching switch (default [true]); [false] selects
+    the per-request reference path.  Batching is semantics-preserving —
+    per-packet wire overhead, engine overhead and the mid-train abort
+    keep timings bit-identical — so this exists only for the equivalence
+    tests, which run every scenario under both settings and compare.
+    {!pio_send} is per-packet under either setting.  Never toggled
+    inside a parallel sweep. *)
 val batching : bool ref
 
 (** [pio_send t ~dst_node ~dst_ctx ~hdr ~len ?payload ()] — programmed
     I/O: the {e calling process} pays per-packet CPU cost and wire
-    occupancy.  Fragments larger than the PIO packet size are split, with
-    [hdr]'s offsets rewritten per fragment.  Entirely user-space driven:
-    no driver, no syscall. *)
+    occupancy, one fragment at a time (never batched).  Fragments larger
+    than the PIO packet size are split, with [hdr]'s offsets rewritten
+    per fragment.  Entirely user-space driven: no driver, no syscall. *)
 val pio_send :
   t ->
   dst_node:int ->
@@ -169,10 +171,9 @@ val eager_packets_rx : t -> int
 val expected_msgs_rx : t -> int
 
 (** PIO egress counters: packets stored through the send buffer and the
-    payload bytes they carried (headers excluded).  Counted per fragment
-    on both the per-packet and the batched paths, so the values are
-    independent of {!batching}.  With {!Sdma.bytes_submitted} these give
-    the PIO-vs-SDMA traffic split. *)
+    payload bytes they carried (headers excluded), counted per fragment.
+    With {!Sdma.bytes_submitted} these give the PIO-vs-SDMA traffic
+    split. *)
 
 val pio_packets : t -> int
 

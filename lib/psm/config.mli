@@ -3,15 +3,15 @@
 (** Messages up to this size go eager over PIO; above it the matched-queue
     rendezvous (expected receive + SDMA) engages.  Default 64 kB, the PSM
     default the paper quotes. *)
-val eager_threshold : int ref
+val eager_threshold : int
 
 (** Rendezvous window: each TID registration / SDMA writev covers at most
     this many bytes.  Default 1 MB. *)
-val window_size : int ref
+val window_size : int
 
 (** Windows concurrently registered per rendezvous (pipelining).
     Default 2. *)
-val pipeline_depth : int ref
+val pipeline_depth : int
 
 (** Receiver-side TID registration cache: reuse registrations of
     identical (address, length) windows and skip TID_FREE.  {b Off by
@@ -24,5 +24,3 @@ val tid_cache : bool ref
 (** [with_tid_cache on f] runs [f] with {!tid_cache} set to [on] and
     restores the previous setting when [f] returns or raises. *)
 val with_tid_cache : bool -> (unit -> 'a) -> 'a
-
-val reset : unit -> unit

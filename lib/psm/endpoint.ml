@@ -246,7 +246,7 @@ let isend t ~dst ~tag ~va ~len =
   (* Intra-node traffic goes through PSM's shared-memory transport: plain
      copies, no NIC and no driver — which is why single-node runs are
      immune to the offloading penalty (paper Fig. 6). *)
-  if len <= !Config.eager_threshold || same_node t dst then begin
+  if len <= Config.eager_threshold || same_node t dst then begin
     eager_send t st;
     req.complete <- true;
     Ledger.close t.os.sim req.lg ~phase:"eager_send"
@@ -286,7 +286,7 @@ let register_window t ~va ~len =
 
 let grant_window t (r : recv_st) ~src =
   let offset = r.r_next_off in
-  let win_len = min !Config.window_size (r.r_msg_len - offset) in
+  let win_len = min Config.window_size (r.r_msg_len - offset) in
   if win_len > 0 then begin
     let tid_base, tid_count =
       register_window t ~va:(r.r_va + offset) ~len:win_len
@@ -305,14 +305,13 @@ let grant_window t (r : recv_st) ~src =
 let start_rendezvous t req (r : recv_st) ~src =
   r.r_rndv <- true;
   Hashtbl.replace t.active (src, r.r_msg_id) req;
-  let depth = max 1 !Config.pipeline_depth in
   let rec go n =
     if n > 0 && r.r_next_off < r.r_msg_len then begin
       grant_window t r ~src;
       go (n - 1)
     end
   in
-  go depth;
+  go Config.pipeline_depth;
   Ledger.mark t.os.sim req.lg ~phase:"window_grant"
 
 (* MPI_ERR_TRUNCATE under errors-are-fatal: a message longer than the

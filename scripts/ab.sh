@@ -19,16 +19,20 @@
 # pair's values, the pairs B won (ties count for neither) and the
 # verdict (a gain is shown when B wins at least 9 in 10 pairs and the
 # medians differ by more than A's interquartile range).  Then each
-# side's attempted/failed operations and plain passes per run.  When
-# the runs have failures and the two sides of a pair fitted different
-# numbers of plain passes, those pairs are named: perfbench counts
-# failures over every pass of a run, so a pass-count skew alone moves
-# the failure share.
+# side's attempted/failed operations, summed over every pass of every
+# run and counted one plain pass per seed, and its plain passes per run.
+# perfbench sums failures over every pass of a run, and how many passes
+# fit depends on host speed, so the failure share is judged per pass:
+# each run's counts are divided by its pass count, which is exact
+# because every pass repeats bit for bit.  When the runs have failures
+# and the two sides of a pair fitted different numbers of plain passes,
+# those pairs are named; that skew moves the summed share only.
 #
 # Exit status: 0 when every pair's simulated figures (sim_ns.*, p50_ns.*,
-# p99_ns.*) are equal on both sides and B's failure share is not higher
-# than A's; 1 otherwise; 2 on a usage or run error.  Nothing is fetched:
-# REV must be in the local repository.
+# p99_ns.*) are equal on both sides, every run's counts divide evenly by
+# its pass count, and B's failure share per pass is not higher than A's;
+# 1 otherwise; 2 on a usage or run error.  Nothing is fetched: REV must
+# be in the local repository.
 
 set -eu
 
@@ -65,7 +69,11 @@ run() {
     exit 2
   fi
   passes="$(sed -n 's/.* note: \([0-9]*\) passes in .*/\1/p' "$work/$side.out")"
-  printf '%s %s %s\n' "$seed" "${passes:-?}" "$(tail -n 1 "$work/$side.out")" \
+  if [ -z "$passes" ]; then
+    echo "ab.sh: side $side printed no pass count on seed $seed" >&2
+    exit 2
+  fi
+  printf '%s %s %s\n' "$seed" "$passes" "$(tail -n 1 "$work/$side.out")" \
     >> "$work/$side.runs"
 }
 
@@ -95,7 +103,7 @@ def load(path):
     runs = {}
     for line in open(path):
         seed, passes, doc = line.split(" ", 2)
-        runs[int(seed)] = dict(json.loads(doc), passes=passes)
+        runs[int(seed)] = dict(json.loads(doc), passes=int(passes))
     return runs
 
 
@@ -155,21 +163,33 @@ share = {}
 for side, runs in (("A", a), ("B", b)):
     att = sum(runs[s]["attempted"] for s in seeds)
     fail = sum(runs[s]["failed"] for s in seeds)
-    share[side] = fail / att if att else 0.0
-    per_pair = " ".join(f"{runs[s]['failed']}/{runs[s]['attempted']}"
-                        for s in seeds)
-    print(f"side {side}: failed/attempted {fail}/{att} "
-          f"(share {share[side]:.3g}); per pair: {per_pair}")
+    per_pass = {}
+    for s in seeds:
+        r = runs[s]
+        if r["attempted"] % r["passes"] or r["failed"] % r["passes"]:
+            print(f"side {side}, seed {s}: {r['failed']}/{r['attempted']} "
+                  f"do not divide by {r['passes']} passes; the passes did "
+                  "not repeat")
+            status = 1
+        per_pass[s] = (r["failed"] // r["passes"],
+                       r["attempted"] // r["passes"])
+    pp_fail = sum(f for f, _ in per_pass.values())
+    pp_att = sum(n for _, n in per_pass.values())
+    share[side] = pp_fail / pp_att if pp_att else 0.0
+    print(f"side {side}: failed/attempted {fail}/{att} summed "
+          f"(share {fail / att if att else 0.0:.3g}), {pp_fail}/{pp_att} "
+          f"per pass (share {share[side]:.3g}); per pair, per pass: "
+          + " ".join(f"{f}/{n}" for f, n in (per_pass[s] for s in seeds)))
     print(f"side {side}: plain passes per run: "
-          + " ".join(runs[s]["passes"] for s in seeds))
+          + " ".join(str(runs[s]["passes"]) for s in seeds))
 skew = [s for s in seeds if a[s]["passes"] != b[s]["passes"]]
 if skew and any(runs[s]["failed"] for runs in (a, b) for s in seeds):
     print("plain passes differ in pair(s) " + ", ".join(
         f"seed {s} (A {a[s]['passes']}, B {b[s]['passes']})" for s in skew)
         + ": failures are summed over every pass of a run, so this skew "
-        "alone moves the failure share")
+        "moves the summed share; the per-pass share does not see it")
 if share["B"] > share["A"]:
-    print("B's failure share is higher than A's")
+    print("B's failure share per pass is higher than A's")
     status = 1
 print("simulated figures: " + ("identical in every pair" if same
                                else "DIFFER (see above)"))

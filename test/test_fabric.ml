@@ -362,9 +362,7 @@ let test_flat_has_no_links () =
   ignore (Sim.run sim);
   Alcotest.(check int) "no links instantiated" 0
     (List.length (Fabric.tier_stats f));
-  Alcotest.(check bool) "flat fabric is always quiet" true (Fabric.quiet f);
-  Alcotest.(check bool) "flat routes are always quiet" true
-    (Fabric.route_quiet f ~src:0 ~dst:1 ~dst_ctx:0)
+  Alcotest.(check bool) "flat fabric is always quiet" true (Fabric.quiet f)
 
 (* --- Conservation (qcheck) -------------------------------------------------- *)
 

@@ -1,5 +1,7 @@
 (* Tests for the NIC substrate: fabric, SDMA engines, RcvArray, HFI device
-   and the user ABI codec. *)
+   and the user ABI codec, and SDMA packet-train batching against the
+   per-packet path (PIO sends are per-packet only; they compete with the
+   trains in the mid-train scenarios). *)
 
 open Pico_nic
 module Sim = Pico_engine.Sim
@@ -708,12 +710,13 @@ let test_hfi_wire_is_serialized () =
 
 (* --- Packet-train batching equivalence -------------------------------------
 
-   Batching (Hfi.pio_train / the SDMA train fast path) must be invisible:
-   every scenario is run once per-packet and once batched, and the
-   observable outcomes — final simulated time, completion instants,
-   delivered packets/bytes, egress-wire accounting — must be bit-identical
-   floats.  The mid-train scenarios drive Hfi's train-abort path, where a
-   competing wire user arrives while a batched SDMA train is in flight. *)
+   Batching (the SDMA train fast path) must be invisible: every scenario
+   is run once per-packet and once batched, and the observable outcomes —
+   final simulated time, completion instants, delivered packets/bytes,
+   egress-wire accounting — must be bit-identical floats.  The mid-train
+   scenarios drive Hfi's train-abort path, where a competing wire user (a
+   PIO send, which is always per-packet, or a second SDMA transfer)
+   arrives while a batched SDMA train is in flight. *)
 
 type outcome = {
   o_end : float;
@@ -780,11 +783,6 @@ let check_equiv name scenario =
    count agrees. *)
 let same_outcome a b = { a with o_elided = b.o_elided } = b
 
-let pio_scenario len sim h0 _n0 dst_ctx _complete pio_done =
-  Sim.spawn sim (fun () ->
-      Hfi.pio_send h0 ~dst_node:1 ~dst_ctx ~hdr:(eager_hdr len) ~len ();
-      pio_done := Sim.now sim)
-
 let sdma_scenario lens sim h0 n0 dst_ctx complete _pio_done =
   let spa = Option.get (Node.alloc_frames n0 4) in
   let reqs = Extent.of_list (List.map (fun len -> (spa, len)) lens) in
@@ -848,15 +846,6 @@ let train_span lens =
           /. c.Costs.link_bandwidth))
     0. lens
 
-let test_batching_pio_equiv () =
-  (* A 0-byte message is a single-fragment train: like a 1-request SDMA
-     train, its abortable form has nothing left to elide — the guarded
-     egress plus the wake cost what the per-packet events would. *)
-  let b = check_equiv "pio 0B" (pio_scenario 0) in
-  Alcotest.(check bool) "0B train elides" true (b.o_elided >= 0);
-  let b = check_equiv "pio 20000B" (pio_scenario 20000) in
-  Alcotest.(check bool) "20000B train elides" true (b.o_elided > 0)
-
 let test_batching_sdma_equiv () =
   let b = check_equiv "sdma 1 req" (sdma_scenario [ 8192 ]) in
   Alcotest.(check bool) "1-req train elides" true (b.o_elided >= 0);
@@ -880,82 +869,6 @@ let test_batching_midtrain_sweep () =
          (Printf.sprintf "midtrain pio0 d=%d/20" i)
          (midtrain_scenario ~d ~pio_len:0 ~via_sdma:false lens))
   done
-
-(* A PIO fragment train plus a competitor that wants the wire [d] ns in:
-   a second PIO send from another process on the same node, or an SDMA
-   transfer submitted mid-train.  Sweeping [d] crosses every phase of
-   the abortable PIO train (CPU-store gap, in-fragment, at/after train
-   end), where {!Hfi.maybe_abort_train} must rewind the uncommitted
-   fragment tail to the exact per-packet boundary. *)
-let pio_midtrain_scenario ~d ~clen ~via_sdma ~len sim h0 n0 dst_ctx complete
-    pio_done =
-  Sim.spawn sim (fun () ->
-      Hfi.pio_send h0 ~dst_node:1 ~dst_ctx ~hdr:(eager_hdr len) ~len ();
-      complete := Sim.now sim);
-  Sim.spawn sim (fun () ->
-      Sim.delay sim d;
-      if via_sdma then begin
-        let spa = Option.get (Node.alloc_frames n0 1) in
-        Hfi.sdma_submit h0 ~channel:0 ~dst_node:1 ~dst_ctx
-          ~hdr:(eager_hdr 4096)
-          ~reqs:(Extent.of_list [ (spa, 4096) ])
-          ~on_complete:(fun () -> ())
-          ()
-      end
-      else
-        Hfi.pio_send h0 ~dst_node:1 ~dst_ctx ~hdr:(eager_hdr clen) ~len:clen ();
-      pio_done := Sim.now sim)
-
-let pio_span len =
-  let c = Costs.current () in
-  let wire frag =
-    float_of_int (frag + c.Costs.packet_overhead_bytes) /. c.Costs.link_bandwidth
-  in
-  if len = 0 then c.Costs.pio_packet_overhead +. wire 0
-  else begin
-    let rec go off acc =
-      if off >= len then acc
-      else
-        let frag = min c.Costs.pio_packet_size (len - off) in
-        go (off + frag)
-          (acc +. c.Costs.pio_packet_overhead
-          +. (float_of_int frag /. c.Costs.pio_cpu_bandwidth)
-          +. wire frag)
-    in
-    go 0 0.
-  end
-
-let test_batching_pio_midtrain_sweep () =
-  let len = 20000 in
-  let span = pio_span len in
-  for i = 0 to 23 do
-    let d = float_of_int i *. span /. 20. in
-    ignore
-      (check_equiv
-         (Printf.sprintf "pio midtrain pio d=%d/20" i)
-         (pio_midtrain_scenario ~d ~clen:300 ~via_sdma:false ~len));
-    ignore
-      (check_equiv
-         (Printf.sprintf "pio midtrain sdma d=%d/20" i)
-         (pio_midtrain_scenario ~d ~clen:0 ~via_sdma:true ~len))
-  done
-
-let prop_batching_pio_midtrain =
-  QCheck2.Test.make
-    ~name:"mid-PIO-train wire arrivals: batched = per-packet (bit-exact)"
-    ~count:80
-    QCheck2.Gen.(
-      triple
-        (float_bound_inclusive 1.2)
-        (oneofl [ 0; 300; 20000 ])
-        bool)
-    (fun (frac, clen, via_sdma) ->
-      let len = 20000 in
-      let d = frac *. pio_span len in
-      let scenario = pio_midtrain_scenario ~d ~clen ~via_sdma ~len in
-      let a = run_scenario ~batching:false scenario in
-      let b = run_scenario ~batching:true scenario in
-      same_outcome a b)
 
 let test_batching_midtrain_halt () =
   let lens = [ 8192; 8192; 4096; 8192 ] in
@@ -1243,15 +1156,11 @@ let () =
            test_hfi_sdma_expected_end_to_end;
          Alcotest.test_case "wire serialized" `Quick test_hfi_wire_is_serialized ]);
       ("batching",
-       [ Alcotest.test_case "pio equivalence" `Quick test_batching_pio_equiv;
-         Alcotest.test_case "sdma equivalence" `Quick test_batching_sdma_equiv;
+       [ Alcotest.test_case "sdma equivalence" `Quick test_batching_sdma_equiv;
          Alcotest.test_case "mid-train sweep" `Quick test_batching_midtrain_sweep;
-         Alcotest.test_case "mid-PIO-train sweep" `Quick
-           test_batching_pio_midtrain_sweep;
          Alcotest.test_case "mid-train halt sweep" `Quick
            test_batching_midtrain_halt;
          qc prop_batching_midtrain;
-         qc prop_batching_pio_midtrain;
          qc prop_batching_midtrain_halt;
          Alcotest.test_case "fat-tree equivalence" `Quick
            test_batching_fat_tree_equiv;

@@ -12,8 +12,6 @@ module Costs = Pico_costs.Costs
 
 let () = Costs.reset ()
 
-let () = Config.reset ()
-
 (* --- Mq --------------------------------------------------------------------- *)
 
 let test_mq_basic_match () =
@@ -348,30 +346,27 @@ let test_rcvarray_exhaustion_fallback () =
      must fall back to eager SDMA windows and still deliver intact —
      including granting windows beyond the pipeline depth. *)
   let ok = ref false in
-  let len = 300 * 1024 in
-  Config.window_size := 64 * 1024 (* 5 windows > pipeline depth 2 *);
+  (* 5 windows of [Config.window_size] > [Config.pipeline_depth] *)
+  let len = (4 * Config.window_size) + (300 * 1024) in
   let cl =
     H.Cluster.build H.Cluster.Linux ~n_nodes:2 ~carry_payload:true
       ~rcv_entries:8 ()
   in
-  (try
-     ignore
-       (H.Experiment.run cl ~ranks_per_node:1 (fun comm ->
-            let ep = comm.Comm.ep in
-            let buf = alloc comm len in
-            if comm.Comm.rank = 0 then begin
-              write comm buf (pattern 13 len);
-              Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:21L ~va:buf ~len)
-            end
-            else begin
-              Endpoint.wait ep
-                (Endpoint.irecv ep ~src:(Some 0) ~tag:21L ~va:buf ~len ());
-              ok := read comm buf len = pattern 13 len
-            end;
-            Pico_mpi.Collectives.barrier comm;
-            0.))
-   with e -> Config.reset (); raise e);
-  Config.reset ();
+  ignore
+    (H.Experiment.run cl ~ranks_per_node:1 (fun comm ->
+         let ep = comm.Comm.ep in
+         let buf = alloc comm len in
+         if comm.Comm.rank = 0 then begin
+           write comm buf (pattern 13 len);
+           Endpoint.wait ep (Endpoint.isend ep ~dst:1 ~tag:21L ~va:buf ~len)
+         end
+         else begin
+           Endpoint.wait ep
+             (Endpoint.irecv ep ~src:(Some 0) ~tag:21L ~va:buf ~len ());
+           ok := read comm buf len = pattern 13 len
+         end;
+         Pico_mpi.Collectives.barrier comm;
+         0.));
   (* No TIDs were ever programmed. *)
   let env = H.Cluster.node_env cl 1 in
   Alcotest.(check int) "registrations failed as intended" 0

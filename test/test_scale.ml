@@ -1,9 +1,10 @@
-(* Tests for the sharded engine and whole-cluster packet-train
+(* Tests for the sharded engine and whole-cluster SDMA packet-train
    batching: byte identity of simulation results across shard-on/off on
    flat worlds (including with fault injection armed and with SDMA
    engines halting mid-run), across batching-on/off against the
    per-packet reference on flat and fat-tree clusters (with halts and
-   link faults), Route memoization, and the shard counter plumbing
+   link faults, and in the fat-tree worlds where same-instant link ties
+   decide results), Route memoization, and the shard counter plumbing
    (including refused requests). *)
 
 module Sim = Pico_engine.Sim
@@ -296,6 +297,54 @@ let test_ft_linkfault_identity () =
   Alcotest.(check string) "faulted fat-tree identity" batched.fp
     (run ~batching:false).fp
 
+(* Two fat-tree worlds where same-instant ties on unordered links decide
+   results, so a transmit path that schedules its egress events in a
+   different order from the per-packet path changes them.  (a) is a
+   shrunk point of the law above, with link faults and one rank per node
+   on a radix-3 tree.  (b) is `picobench faults`'s `down` world for Linux
+   and McKernel: a 64 kB ping-pong between the two farthest nodes of a
+   radix-4 2:1 tree while links go down (MTBF 400 us); every
+   per-iteration latency sample, the fabric fault counters and the rest
+   of the fingerprint must be bit-equal with batching on and off. *)
+let test_ft_tie_identity () =
+  let run ~batching =
+    run_probe ~topology:(Topology.Fat_tree { radix = 3; oversub = 1 })
+      ~linkfaults:true ~batching ~kind:Cluster.Mckernel_hfi ~n_nodes:3 ~rpn:1
+      ~seed:9182L ~faults:false ~shard:false ()
+  in
+  Alcotest.(check string) "radix-3 link-fault point" (run ~batching:false).fp
+    (run ~batching:true).fp;
+  let down_world ~batching kind =
+    Hfi.batching := batching;
+    Fun.protect ~finally:(fun () -> Hfi.batching := true) @@ fun () ->
+    Costs.with_patched
+      (fun c ->
+        c.Costs.fault_horizon <- 4.0e7;
+        c.Costs.fault_link_down_interval <- 4.0e5;
+        c.Costs.fault_link_down_duration <- 1.0e5)
+    @@ fun () ->
+    let cl =
+      Cluster.build kind ~n_nodes:8
+        ~topology:(Topology.Fat_tree { radix = 4; oversub = 2 }) ()
+    in
+    Fault.install cl;
+    let out = ref [] in
+    let res =
+      Experiment.run cl ~ranks_per_node:1
+        (Pico_apps.Imb.pingpong_samples ~iters:120 ~peer:7 ~size:(64 * 1024)
+           ~out)
+    in
+    String.concat ";"
+      (List.map (fun x -> Printf.sprintf "%Lx" (Int64.bits_of_float x)) !out)
+    ^ "|" ^ fingerprint cl res
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check string)
+        (Printf.sprintf "faults down world, %s" (Cluster.kind_to_string kind))
+        (down_world ~batching:false kind) (down_world ~batching:true kind))
+    [ Cluster.Linux; Cluster.Mckernel ]
+
 (* --- route memoization ------------------------------------------------------ *)
 
 let prop_route_memo =
@@ -401,7 +450,8 @@ let () =
          Alcotest.test_case "umt wavefront identity" `Slow test_umt_identity;
          Alcotest.test_case "halt shard on/off" `Slow test_halt_shard;
          Alcotest.test_case "faulted fat-tree identity" `Slow
-           test_ft_linkfault_identity ]);
+           test_ft_linkfault_identity;
+         Alcotest.test_case "fat-tree tie worlds" `Slow test_ft_tie_identity ]);
       ("route",
        [ q prop_route_memo;
          Alcotest.test_case "flat memo" `Quick test_route_memo_flat ]);
