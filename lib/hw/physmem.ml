@@ -18,7 +18,9 @@ let create ~base ~size =
   { base; size; n_frames;
     holes = [ { start = 0; len = n_frames } ];
     used_frames = 0;
-    contents = Hashtbl.create 1024 }
+    (* Frames materialise only when written, and nothing iterates the
+       table, so it starts small and grows on demand. *)
+    contents = Hashtbl.create 16 }
 
 let base t = t.base
 

@@ -1,12 +1,14 @@
 #!/bin/sh
-# A/B host-cost comparison of the working tree against a git revision on
-# one perfbench workload, by the rule of interleaved pairs.
+# A/B host-cost comparison of the working tree against a git revision,
+# by the rule of interleaved pairs: on one perfbench workload, or on any
+# command.
 #
-# Usage: scripts/ab.sh REV WORKLOAD [PAIRS]    (from anywhere in the repo;
-#        PAIRS defaults to 10)
+# Usage: scripts/ab.sh REV WORKLOAD [PAIRS]        (from anywhere in the
+#        scripts/ab.sh REV [PAIRS] -- CMD [ARG...]  repo; PAIRS defaults
+#                                                   to 10)
 #
 # REV is exported with `git archive` into a temporary directory (side A);
-# the working tree is side B.  Both run
+# the working tree is side B.  In the first form both run
 #   python3 perfbench/run.py --workload WORKLOAD --seed S --trace 0
 # with their own benchmark code and default run length.  After a
 # discarded one-pass warm-up per side (it builds .bench_build/), the pairs
@@ -14,8 +16,16 @@
 # and each pair takes a fresh seed from the clock (printed, so any pair
 # can be re-run by hand).
 #
-# Printed, for each host metric (wall_s, setup_s and peak_rss_mb; lower
-# is better for all three): each side's median and quartiles, every
+# In the second form both trees are built with `dune build` (a discarded
+# warm-up), then CMD runs from each tree's root in the same ABBA pairs,
+# e.g. `scripts/ab.sh HEAD 4 -- _build/default/bin/picobench.exe scale -j 2`.
+# Each run's wall seconds and its own peak RSS (the ru_maxrss of its
+# wait4 rusage, which covers the processes it waited for) are recorded,
+# and the two sides' stdout must be equal in every pair.
+#
+# Printed, for each host metric (wall_s, setup_s and peak_rss_mb; a
+# command has wall_s and peak_rss_mb; lower is better for all three):
+# each side's median and quartiles, every
 # pair's values, the pairs B won (ties count for neither) and the
 # verdict (a gain is shown when B wins at least 9 in 10 pairs and the
 # medians differ by more than A's interquartile range).  Then each
@@ -30,19 +40,33 @@
 #
 # Exit status: 0 when every pair's simulated figures (sim_ns.*, p50_ns.*,
 # p99_ns.*) are equal on both sides, every run's counts divide evenly by
-# its pass count, and B's failure share per pass is not higher than A's;
-# 1 otherwise; 2 on a usage or run error.  Nothing is fetched: REV must
-# be in the local repository.
+# its pass count, and B's failure share per pass is not higher than A's
+# (for a command: when both sides printed the same stdout in every
+# pair); 1 otherwise; 2 on a usage or run error.  Nothing is fetched:
+# REV must be in the local repository.
 
 set -eu
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+usage() {
   echo "usage: scripts/ab.sh REV WORKLOAD [PAIRS]" >&2
+  echo "       scripts/ab.sh REV [PAIRS] -- CMD [ARG...]" >&2
   exit 2
-fi
+}
+[ $# -ge 2 ] || usage
 rev="$1"
-workload="$2"
-pairs="${3:-10}"
+shift
+pairs=10
+workload=""
+if [ "$1" = "--" ] || { [ $# -ge 2 ] && [ "$2" = "--" ]; }; then
+  [ "$1" = "--" ] || { pairs="$1"; shift; }
+  shift
+  [ $# -ge 1 ] || usage
+else
+  [ $# -le 2 ] || usage
+  workload="$1"
+  pairs="${2:-10}"
+fi
+case "$pairs" in '' | *[!0-9]* | 0) usage ;; esac
 
 root="$(git rev-parse --show-toplevel)"
 commit="$(git -C "$root" rev-parse --verify "$rev^{commit}")" || exit 2
@@ -51,6 +75,35 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/a"
 git -C "$root" archive "$commit" | tar -x -C "$work/a"
+
+# run_cmd SIDE PAIR CMD...: one run of CMD from SIDE's root; "PAIR 1 JSON"
+# is appended to $work/SIDE.runs, in run's format, and its stdout is left
+# in $work/SIDE.out.
+run_cmd() {
+  side="$1"
+  key="$2"
+  shift 2
+  dir="$root"
+  [ "$side" = a ] && dir="$work/a"
+  if ! metrics="$(cd "$dir" && python3 -c '
+import json, os, subprocess, sys, time
+with open(sys.argv[1], "wb") as out, open(sys.argv[2], "wb") as err:
+    t0 = time.monotonic()
+    child = subprocess.Popen(sys.argv[3:], stdout=out, stderr=err)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.monotonic() - t0
+child.returncode = os.waitstatus_to_exitcode(status)
+if child.returncode:
+    sys.exit(f"exit status {child.returncode}")
+print(json.dumps({"metrics": {"wall_s": {"value": wall},
+                              "peak_rss_mb": {"value": usage.ru_maxrss / 1024}}}))
+' "$work/$side.out" "$work/$side.err" "$@")"; then
+    echo "ab.sh: side $side failed in pair $key:" >&2
+    cat "$work/$side.err" >&2
+    exit 2
+  fi
+  printf '%s 1 %s\n' "$key" "$metrics" >> "$work/$side.runs"
+}
 
 # run SIDE SEED [ARGS]: one benchmark run; "SEED PASSES JSON" is appended
 # to $work/SIDE.runs (PASSES: the plain passes the run fitted in).
@@ -77,23 +130,49 @@ run() {
     >> "$work/$side.runs"
 }
 
-seed0="$(date +%s)"
-echo "ab.sh: A = $rev ($commit), B = working tree; $workload, $pairs pairs"
-echo "ab.sh: warm-up: build both sides, one pass each (discarded)"
-run a "$seed0" --seconds 0
-run b "$seed0" --seconds 0
-rm -f "$work/a.runs" "$work/b.runs"
+if [ -n "$workload" ]; then
+  seed0="$(date +%s)"
+  echo "ab.sh: A = $rev ($commit), B = working tree; $workload, $pairs pairs"
+  echo "ab.sh: warm-up: build both sides, one pass each (discarded)"
+  run a "$seed0" --seconds 0
+  run b "$seed0" --seconds 0
+  rm -f "$work/a.runs" "$work/b.runs"
+else
+  seed0=0
+  echo "ab.sh: A = $rev ($commit), B = working tree; $pairs pairs of: $*"
+  echo "ab.sh: warm-up: dune build on both sides"
+  for dir in "$work/a" "$root"; do
+    if ! (cd "$dir" && dune build 2> "$work/build.err"); then
+      echo "ab.sh: dune build failed in $dir:" >&2
+      cat "$work/build.err" >&2
+      exit 2
+    fi
+  done
+fi
 
+# one SIDE KEY [CMD...]: one timed run of either form; KEY is the seed
+# of a perfbench run and the pair number of a command run.
+one() {
+  if [ -n "$workload" ]; then run "$1" "$2"; else run_cmd "$@"; fi
+}
+
+differ=""
 i=0
 while [ "$i" -lt "$pairs" ]; do
-  seed=$((seed0 + 1 + i))
-  if [ $((i % 2)) -eq 0 ]; then run a "$seed"; run b "$seed"
-  else run b "$seed"; run a "$seed"; fi
+  key=$((seed0 + 1 + i))
+  if [ $((i % 2)) -eq 0 ]; then one a "$key" "$@"; one b "$key" "$@"
+  else one b "$key" "$@"; one a "$key" "$@"; fi
   i=$((i + 1))
-  echo "ab.sh: pair $i/$pairs done (seed $seed)"
+  if [ -z "$workload" ] && ! cmp -s "$work/a.out" "$work/b.out"; then
+    differ="$differ $i"
+    echo "ab.sh: pair $i/$pairs: stdout differs"
+    diff "$work/a.out" "$work/b.out" | head -n 20
+  fi
+  echo "ab.sh: pair $i/$pairs done${workload:+ (seed $key)}"
 done
 
-python3 - "$work/a.runs" "$work/b.runs" <<'EOF'
+status=0
+python3 - "$work/a.runs" "$work/b.runs" "${workload:-}" <<'EOF' || status=$?
 import json
 import statistics
 import sys
@@ -108,6 +187,7 @@ def load(path):
 
 
 a, b = load(sys.argv[1]), load(sys.argv[2])
+perfbench = sys.argv[3] != ""
 seeds = sorted(a)
 value = lambda run, name: run["metrics"][name]["value"]
 
@@ -119,7 +199,8 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-metrics = ("wall_s", "setup_s", "peak_rss_mb")
+metrics = (("wall_s", "setup_s", "peak_rss_mb") if perfbench
+           else ("wall_s", "peak_rss_mb"))
 print(f"{'metric':12s} {'side':4s} {'q1':>12s} {'median':>12s} {'q3':>12s}")
 for name in metrics:
     for side, runs in (("A", a), ("B", b)):
@@ -129,7 +210,8 @@ for name in metrics:
 for name in metrics:
     xa = [value(a[s], name) for s in seeds]
     xb = [value(b[s], name) for s in seeds]
-    print(f"{name} per pair (seed: A B): " + "  ".join(
+    print(f"{name} per pair ({'seed' if perfbench else 'pair'}: A B): "
+          + "  ".join(
         f"{s}: {va:.4g} {vb:.4g}" for s, va, vb in zip(seeds, xa, xb)))
     wins = sum(vb < va for va, vb in zip(xa, xb))
     losses = sum(vb > va for va, vb in zip(xa, xb))
@@ -144,6 +226,9 @@ for name in metrics:
     print(f"{name} verdict: " + ("gain shown" if shown else "no gain shown")
           + " (needs B lower in >= 9/10 of pairs and a median gap > "
           "A's IQR)")
+
+if not perfbench:
+    sys.exit(0)
 
 same = True
 status = 0
@@ -195,3 +280,9 @@ print("simulated figures: " + ("identical in every pair" if same
                                else "DIFFER (see above)"))
 sys.exit(status)
 EOF
+if [ -n "$differ" ]; then
+  echo "stdout: DIFFERS in pair(s)$differ"
+  exit 1
+fi
+[ -n "$workload" ] || echo "stdout: identical in every pair"
+exit "$status"

@@ -281,6 +281,456 @@ let prop_pt_random_mappings =
         (fun i -> Pagetable.pa_of pt (i * 4096) = (i + 5000) * 4096)
         idxs)
 
+(* The 4-level radix page table that [Pagetable] replaced, verbatim but
+   for its [Flags], which are [Pagetable]'s: the reference its per-2 MB
+   storage must match, outcome for outcome. *)
+module Radix = struct
+  module Flags = Pagetable.Flags
+
+  type mapping = {
+    va : Addr.t;
+    pa : Addr.t;
+    page_size : int;
+    flags : Flags.t;
+  }
+
+  type entry =
+    | Empty
+    | Table of entry array
+    | Leaf of { pa : Addr.t; page_size : int; flags : Flags.t }
+
+  type t = { root : entry array; mutable leaves : int }
+
+  let fanout = 512
+
+  let create () = { root = Array.make fanout Empty; leaves = 0 }
+
+  exception Already_mapped of Addr.t
+
+  exception Not_mapped of Addr.t
+
+  (* Index of [va] at [level]: level 3 = PGD (bits 39-47) ... level 0 = PTE
+     (bits 12-20). *)
+  let index va level = (va lsr (Addr.page_shift + (9 * level))) land (fanout - 1)
+
+  let level_of_page_size ps =
+    if ps = Addr.page_size then 0
+    else if ps = Addr.large_page_size then 1
+    else invalid_arg "Pagetable: page_size must be 4 kB or 2 MB"
+
+  let map t ~va ~pa ~page_size ~flags =
+    let leaf_level = level_of_page_size page_size in
+    if not (Addr.is_aligned va page_size) then
+      invalid_arg "Pagetable.map: va not aligned to page size";
+    if not (Addr.is_aligned pa page_size) then
+      invalid_arg "Pagetable.map: pa not aligned to page size";
+    let rec descend table level =
+      let i = index va level in
+      if level = leaf_level then begin
+        match table.(i) with
+        | Empty ->
+          table.(i) <- Leaf { pa; page_size; flags = Flags.(flags + present) };
+          t.leaves <- t.leaves + 1
+        | Leaf _ | Table _ -> raise (Already_mapped va)
+      end
+      else begin
+        match table.(i) with
+        | Empty ->
+          let child = Array.make fanout Empty in
+          table.(i) <- Table child;
+          descend child (level - 1)
+        | Table child -> descend child (level - 1)
+        | Leaf _ -> raise (Already_mapped va)
+      end
+    in
+    descend t.root 3
+
+  let map_range t ~va ~pa ~len ~page_size ~flags =
+    if len mod page_size <> 0 then
+      invalid_arg "Pagetable.map_range: len must be a multiple of page_size";
+    let n = len / page_size in
+    for i = 0 to n - 1 do
+      let off = i * page_size in
+      map t ~va:(va + off) ~pa:(pa + off) ~page_size ~flags
+    done
+
+  let find t va =
+    let rec descend table level =
+      let i = index va level in
+      match table.(i) with
+      | Empty -> None
+      | Leaf { pa; page_size; flags } ->
+        if level_of_page_size page_size <> level then None
+        else begin
+          let page_va = Addr.align_down va page_size in
+          Some { va = page_va; pa; page_size; flags }
+        end
+      | Table child -> if level = 0 then None else descend child (level - 1)
+    in
+    descend t.root 3
+
+  let translate t va = find t va
+
+  (* [find]'s descent, answering the physical address directly: GUP calls
+     this for every page it pins, so no [mapping] option is built. *)
+  let rec pa_in table va level =
+    match table.(index va level) with
+    | Leaf { pa; page_size; _ } when level_of_page_size page_size = level ->
+      pa + (va - Addr.align_down va page_size)
+    | Table child when level > 0 -> pa_in child va (level - 1)
+    | Empty | Leaf _ | Table _ -> raise (Not_mapped va)
+
+  let pa_of t va = pa_in t.root va 3
+
+  (* [pa_in]'s descent to the PMD entry covering [va]: a 2 MB leaf or the
+     leaf table of its 512 4 kB pages. *)
+  let pmd_entry t va =
+    match t.root.(index va 3) with
+    | Table pud -> (
+        match pud.(index va 2) with
+        | Table pmd -> pmd.(index va 1)
+        | Empty | Leaf _ -> raise (Not_mapped va))
+    | Empty | Leaf _ -> raise (Not_mapped va)
+
+  (* GUP's page-run walk: one descent per leaf table or 2 MB leaf, each
+     answering the PAs of all its pages in the run.  Runs fill from the
+     last page down, so a hole raises the highest unmapped page — the one a
+     last-to-first loop of [pa_of] meets first. *)
+  let page_pas t ~va ~n =
+    if not (Addr.is_aligned va Addr.page_size) then
+      invalid_arg "Pagetable.page_pas: va not page-aligned";
+    let pas = Array.make n 0 in
+    let rec fill hi =
+      if hi >= 0 then begin
+        let top = va + (hi * Addr.page_size) in
+        let region = Addr.align_down top Addr.large_page_size in
+        (* Pages [lo, hi] of the run share [top]'s PMD entry. *)
+        let lo = Int.max 0 ((region - va) / Addr.page_size) in
+        (match pmd_entry t top with
+         | Leaf { pa; page_size; _ } when page_size = Addr.large_page_size ->
+           for k = hi downto lo do
+             pas.(k) <- pa + (va + (k * Addr.page_size) - region)
+           done
+         | Table pte ->
+           for k = hi downto lo do
+             let page_va = va + (k * Addr.page_size) in
+             match pte.(index page_va 0) with
+             | Leaf { pa; page_size; _ } when page_size = Addr.page_size ->
+               pas.(k) <- pa
+             | Empty | Leaf _ | Table _ -> raise (Not_mapped page_va)
+           done
+         | Empty | Leaf _ -> raise (Not_mapped top));
+        fill (lo - 1)
+      end
+    in
+    fill (n - 1);
+    pas
+
+  let unmap t ~va =
+    let rec descend table level =
+      let i = index va level in
+      match table.(i) with
+      | Empty -> raise (Not_mapped va)
+      | Leaf { pa; page_size; flags } ->
+        let page_va = Addr.align_down va page_size in
+        table.(i) <- Empty;
+        t.leaves <- t.leaves - 1;
+        { va = page_va; pa; page_size; flags }
+      | Table child ->
+        if level = 0 then raise (Not_mapped va) else descend child (level - 1)
+    in
+    descend t.root 3
+
+  let phys_segments t ~va ~len =
+    if len <= 0 then invalid_arg "Pagetable.phys_segments: len must be > 0";
+    (* Walk page by page; coalesce physically adjacent pieces with identical
+       flags. *)
+    let rec walk cur acc segs =
+      (* acc: current open segment (pa_start, seg_len, flags) option *)
+      if cur >= va + len then begin
+        match acc with
+        | Some seg -> List.rev (seg :: segs)
+        | None -> List.rev segs
+      end
+      else begin
+        match find t cur with
+        | None -> raise (Not_mapped cur)
+        | Some m ->
+          let pa = m.pa + (cur - m.va) in
+          let page_end = m.va + m.page_size in
+          let piece = min (va + len) page_end - cur in
+          (match acc with
+           | Some (seg_pa, seg_len, seg_flags)
+             when seg_pa + seg_len = pa && seg_flags = m.flags ->
+             walk (cur + piece) (Some (seg_pa, seg_len + piece, seg_flags)) segs
+           | Some seg -> walk (cur + piece) (Some (pa, piece, m.flags)) (seg :: segs)
+           | None -> walk (cur + piece) (Some (pa, piece, m.flags)) segs)
+      end
+    in
+    walk va None []
+
+  let leaf_count t = t.leaves
+end
+
+(* What a page-table call did: its value, or the exception it raised and
+   the address that exception names.  The two formats' exceptions map
+   alike. *)
+type pt_failure = Already of int | Unmapped of int | Invalid of string
+
+let attempt f =
+  match f () with
+  | v -> Ok v
+  | exception (Pagetable.Already_mapped a | Radix.Already_mapped a) ->
+    Error (Already a)
+  | exception (Pagetable.Not_mapped a | Radix.Not_mapped a) -> Error (Unmapped a)
+  | exception Invalid_argument m -> Error (Invalid m)
+
+let pp_attempt pp = function
+  | Ok v -> pp v
+  | Error (Already a) -> Printf.sprintf "Already_mapped %#x" a
+  | Error (Unmapped a) -> Printf.sprintf "Not_mapped %#x" a
+  | Error (Invalid m) -> "Invalid_argument " ^ m
+
+let pp_leaf = function
+  | Some (va, pa, page_size, flags) ->
+    Printf.sprintf "{va=%#x pa=%#x size=%#x flags=%#x}" va pa page_size flags
+  | None -> "None"
+
+let flat_leaf (m : Pagetable.mapping) = Some (m.va, m.pa, m.page_size, m.flags)
+
+let radix_leaf (m : Radix.mapping) = Some (m.va, m.pa, m.page_size, m.flags)
+
+let pp_array pas =
+  String.concat "," (Array.to_list (Array.map (Printf.sprintf "%#x") pas))
+
+let pp_segments segs =
+  String.concat ","
+    (List.map
+       (fun (pa, len, flags) -> Printf.sprintf "(%#x,%#x,%#x)" pa len flags)
+       segs)
+
+type pt_op =
+  | Map of { va : int; pa : int; page_size : int; flags : int }
+  | Map_range of { va : int; pa : int; len : int; page_size : int; flags : int }
+  | Unmap of int
+
+let pp_pt_op = function
+  | Map { va; pa; page_size; flags } ->
+    Printf.sprintf "map %#x->%#x size=%#x flags=%#x" va pa page_size flags
+  | Map_range { va; pa; len; page_size; flags } ->
+    Printf.sprintf "map_range %#x->%#x len=%#x size=%#x flags=%#x" va pa len
+      page_size flags
+  | Unmap va -> Printf.sprintf "unmap %#x" va
+
+(* An op's outcome: the unmapped leaf, [None] for a map. *)
+let apply_flat pt = function
+  | Map { va; pa; page_size; flags } ->
+    attempt (fun () -> Pagetable.map pt ~va ~pa ~page_size ~flags; None)
+  | Map_range { va; pa; len; page_size; flags } ->
+    attempt (fun () ->
+        Pagetable.map_range pt ~va ~pa ~len ~page_size ~flags;
+        None)
+  | Unmap va -> attempt (fun () -> flat_leaf (Pagetable.unmap pt ~va))
+
+let apply_radix pt = function
+  | Map { va; pa; page_size; flags } ->
+    attempt (fun () -> Radix.map pt ~va ~pa ~page_size ~flags; None)
+  | Map_range { va; pa; len; page_size; flags } ->
+    attempt (fun () ->
+        Radix.map_range pt ~va ~pa ~len ~page_size ~flags;
+        None)
+  | Unmap va -> attempt (fun () -> radix_leaf (Radix.unmap pt ~va))
+
+(* Four adjacent 2 MB regions, so runs cross region boundaries and run
+   into the unmapped one above them, and the two just below 2^48, where a
+   run wraps onto region 0.  Any address may carry bit 48, which both
+   formats alias away. *)
+let law_regions =
+  [| 0x4000_0000; 0x4020_0000; 0x4040_0000; 0x4060_0000;
+     (1 lsl 48) - (2 * Addr.large_page_size);
+     (1 lsl 48) - Addr.large_page_size |]
+
+(* A PA that tracks the VA, so neighbouring maps coalesce — across
+   regions and page sizes too. *)
+let linear va = (1 lsl 40) + (va land ((1 lsl 40) - 1))
+
+let gen_law_region =
+  QCheck2.Gen.(
+    let* r = int_range 0 (Array.length law_regions - 1) in
+    let* alias = frequencyl [ (4, 0); (1, 1 lsl 48) ] in
+    return (law_regions.(r) + alias))
+
+let gen_pt_ops =
+  let open QCheck2.Gen in
+  let large = Addr.large_page_size in
+  let chunk =
+    let* base = gen_law_region in
+    let* slot =
+      frequency
+        [ (3, int_range 0 7); (2, int_range 0 511); (1, int_range 504 511) ]
+    in
+    let page = base + (slot * Addr.page_size) in
+    let* flags =
+      oneofl
+        Pagetable.Flags.
+          [ none; present + writable; present + writable + user + pinned;
+            writable + global; 0xffe ]
+    in
+    let* pa4 =
+      oneof [ return (linear page); map (fun p -> p * Addr.page_size) nat ]
+    in
+    let* pa2 = oneof [ return (linear base); map (fun p -> p * large) nat ] in
+    let map4 = Map { va = page; pa = pa4; page_size = Addr.page_size; flags } in
+    let map2 = Map { va = base; pa = pa2; page_size = large; flags } in
+    frequency
+      [ (4, return [ map4 ]);
+        (2, return [ map2 ]);
+        ( 2,
+          let* n = int_range 1 600 in
+          return
+            [ Map_range
+                { va = page; pa = linear page; len = n * Addr.page_size;
+                  page_size = Addr.page_size; flags } ] );
+        ( 1,
+          let* n = int_range 1 2 in
+          return
+            [ Map_range
+                { va = base; pa = linear base; len = n * large;
+                  page_size = large; flags } ] );
+        (3, map (fun off -> [ Unmap (base + off) ]) (int_range 0 (large - 1)));
+        (2, map (fun off -> [ Unmap (page + off) ]) (int_range 0 4095));
+        (* A 2 MB map over a window whose pages were all unmapped. *)
+        (2, return [ map4; Unmap page; map2 ]);
+        ( 1,
+          oneofl
+            [ [ Map { va = page + 512; pa = pa4; page_size = 4096; flags } ];
+              [ Map { va = page; pa = pa4; page_size = 8192; flags } ];
+              [ Map_range
+                  { va = page; pa = pa4; len = 100; page_size = 4096; flags } ]
+            ] ) ]
+  in
+  map List.concat (list_size (int_range 1 30) chunk)
+
+(* Final probes: page runs (start, pages) and byte ranges (start, len)
+   that cross regions, holes and page sizes, from unaligned starts. *)
+let gen_pt_probes =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 1 6)
+         (pair
+            (map2 (fun b s -> b + (s * Addr.page_size)) gen_law_region
+               (int_range 0 511))
+            (int_range 0 1100)))
+      (list_size (int_range 1 6)
+         (pair
+            (map2 ( + ) gen_law_region (int_range 0 (Addr.large_page_size - 1)))
+            (int_range 1 (Addr.mib 5)))))
+
+let prop_pt_radix_reference =
+  QCheck2.Test.make ~name:"per-2 MB table = 4-level radix reference"
+    ~count:300
+    ~print:(fun (ops, (runs, ranges)) ->
+      String.concat "; " (List.map pp_pt_op ops)
+      ^ Printf.sprintf " | runs [%s] | ranges [%s]"
+          (String.concat "; "
+             (List.map (fun (va, n) -> Printf.sprintf "%#x+%d" va n) runs))
+          (String.concat "; "
+             (List.map (fun (va, len) -> Printf.sprintf "%#x+%#x" va len)
+                ranges)))
+    QCheck2.Gen.(pair gen_pt_ops gen_pt_probes)
+    (fun (ops, (runs, ranges)) ->
+      let pt = Pagetable.create () and ref_pt = Radix.create () in
+      let agree what pp got expected =
+        if got <> expected then
+          QCheck2.Test.fail_reportf "%s: got %s, reference %s" what
+            (pp_attempt pp got) (pp_attempt pp expected)
+      in
+      List.iteri
+        (fun i op ->
+          agree
+            (Printf.sprintf "op %d (%s)" i (pp_pt_op op))
+            pp_leaf (apply_flat pt op) (apply_radix ref_pt op))
+        ops;
+      Array.iter
+        (fun base ->
+          for slot = 0 to 511 do
+            let va = base + (slot * Addr.page_size) + 0x123 in
+            agree
+              (Printf.sprintf "translate %#x" va)
+              pp_leaf
+              (Ok (Option.bind (Pagetable.translate pt va) flat_leaf))
+              (Ok (Option.bind (Radix.translate ref_pt va) radix_leaf));
+            agree
+              (Printf.sprintf "pa_of %#x" va)
+              (Printf.sprintf "%#x")
+              (attempt (fun () -> Pagetable.pa_of pt va))
+              (attempt (fun () -> Radix.pa_of ref_pt va))
+          done)
+        law_regions;
+      List.iter
+        (fun (va, n) ->
+          agree
+            (Printf.sprintf "page_pas %#x %d" va n)
+            pp_array
+            (attempt (fun () -> Pagetable.page_pas pt ~va ~n))
+            (attempt (fun () -> Radix.page_pas ref_pt ~va ~n)))
+        runs;
+      List.iter
+        (fun (va, len) ->
+          agree
+            (Printf.sprintf "phys_segments %#x %#x" va len)
+            pp_segments
+            (attempt (fun () -> Pagetable.phys_segments pt ~va ~len))
+            (attempt (fun () -> Radix.phys_segments ref_pt ~va ~len)))
+        ranges;
+      agree "leaf_count" string_of_int
+        (Ok (Pagetable.leaf_count pt))
+        (Ok (Radix.leaf_count ref_pt));
+      true)
+
+(* McKernel's [Mem.map_anon] leaves a 2 MB gap after every mapping, so
+   each small mapping gets a region of its own.  The table's footprint
+   stays proportional to its pages and regions: a radix table spends a
+   513-word PTE table on each such region. *)
+let test_pt_footprint () =
+  let pt = Pagetable.create () in
+  let flags = Pagetable.Flags.(present + writable + user + pinned) in
+  let va = ref 0x2aaa_0000_0000 in
+  for i = 1 to 64 do
+    Pagetable.map pt ~va:!va ~pa:(i * Addr.page_size) ~page_size:Addr.page_size
+      ~flags;
+    va := !va + Addr.page_size + Addr.large_page_size
+  done;
+  Pagetable.map_range pt ~va:!va ~pa:(Addr.mib 64) ~len:(Addr.kib 768)
+    ~page_size:Addr.page_size ~flags;
+  let pages = 64 + 192 and regions = 64 + 1 in
+  Alcotest.(check int) "leaves" pages (Pagetable.leaf_count pt);
+  let words = Obj.reachable_words (Obj.repr pt) in
+  if words > 4 * (pages + regions) then
+    Alcotest.failf "%d words for %d pages in %d regions" words pages regions
+
+(* Flags at or above bit 12 would alias PA bits in the PTE. *)
+let test_pt_flags_above_bit_11 () =
+  let pt = Pagetable.create () in
+  Pagetable.map pt ~va:0x1000 ~pa:0x2000 ~page_size:4096 ~flags:flags_rw;
+  let before = Pagetable.translate pt 0x1000 in
+  let rejected ~va ~pa ~page_size ~flags =
+    try Pagetable.map pt ~va ~pa ~page_size ~flags; false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "4 kB, bit 12" true
+    (rejected ~va:0x3000 ~pa:0x4000 ~page_size:4096 ~flags:(flags_rw + 0x1000));
+  Alcotest.(check bool) "2 MB, negative" true
+    (rejected ~va:(Addr.mib 4) ~pa:(Addr.mib 8)
+       ~page_size:Addr.large_page_size ~flags:(-1));
+  Alcotest.(check int) "leaves" 1 (Pagetable.leaf_count pt);
+  Alcotest.(check bool) "4 kB not mapped" true
+    (Pagetable.translate pt 0x3000 = None);
+  Alcotest.(check bool) "2 MB not mapped" true
+    (Pagetable.translate pt (Addr.mib 4) = None);
+  Alcotest.(check bool) "old page unchanged" true
+    (Pagetable.translate pt 0x1000 = before)
+
 (* --- Numa / Cpu ------------------------------------------------------------------ *)
 
 let test_numa_knl () =
@@ -421,7 +871,11 @@ let () =
          Alcotest.test_case "segments mixed sizes" `Quick test_pt_phys_segments_mixed_sizes;
          Alcotest.test_case "segments hole" `Quick test_pt_phys_segments_hole;
          Alcotest.test_case "flags" `Quick test_pt_flags;
-         qc prop_pt_random_mappings ]);
+         Alcotest.test_case "footprint" `Quick test_pt_footprint;
+         Alcotest.test_case "flags above bit 11" `Quick
+           test_pt_flags_above_bit_11;
+         qc prop_pt_random_mappings;
+         qc prop_pt_radix_reference ]);
       ("numa",
        [ Alcotest.test_case "knl topology" `Quick test_numa_knl;
          Alcotest.test_case "pref fallback" `Quick test_numa_pref_fallback;
