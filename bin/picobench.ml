@@ -225,8 +225,8 @@ let fabric_cmd =
 let scale_cmd =
   cmd "scale"
     ~doc:
-      "At-scale sweeps (64-256+ nodes) on the sharded engine, with \
-       byte-identity self-checks for sharding and ledgers"
+      "At-scale sweeps (64-256+ nodes) on the sharded engine, with the \
+       oversubscribed fat-tree tail"
     Term.(
       const (fun scale jobs json trace breakdown ->
           emit ?json ?trace ?breakdown ?jobs (fun () -> F.at_scale ~scale ?jobs ()))
@@ -237,7 +237,7 @@ let serve_cmd =
     ~doc:
       "Sharded service workload: open-loop offered-load sweep across the \
        saturation knee with admission control, circuit breaker and \
-       tail-latency FOMs, plus zero-knob and shard-identity self-checks"
+       tail-latency FOMs, plus the zero-knob inertness self-check"
     Term.(
       const (fun jobs json trace breakdown ->
           emit ?json ?trace ?breakdown ?jobs (fun () -> F.serve ?jobs ()))

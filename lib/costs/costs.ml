@@ -206,84 +206,16 @@ let copy src = { src with link_bandwidth = src.link_bandwidth }
 
 let snapshot () = copy (current ())
 
-let assign dst src =
-  dst.link_bandwidth <- src.link_bandwidth;
-  dst.link_latency <- src.link_latency;
-  dst.loopback_latency <- src.loopback_latency;
-  dst.switch_latency <- src.switch_latency;
-  dst.sdma_request_overhead <- src.sdma_request_overhead;
-  dst.packet_overhead_bytes <- src.packet_overhead_bytes;
-  dst.sdma_max_request <- src.sdma_max_request;
-  dst.sdma_engines <- src.sdma_engines;
-  dst.pio_packet_size <- src.pio_packet_size;
-  dst.pio_cpu_bandwidth <- src.pio_cpu_bandwidth;
-  dst.pio_packet_overhead <- src.pio_packet_overhead;
-  dst.mmio_write <- src.mmio_write;
-  dst.irq_dispatch <- src.irq_dispatch;
-  dst.linux_syscall <- src.linux_syscall;
-  dst.lwk_syscall <- src.lwk_syscall;
-  dst.gup_per_page <- src.gup_per_page;
-  dst.ptwalk_per_page <- src.ptwalk_per_page;
-  dst.kmalloc <- src.kmalloc;
-  dst.kfree <- src.kfree;
-  dst.kfree_remote <- src.kfree_remote;
-  dst.spinlock_uncontended <- src.spinlock_uncontended;
-  dst.memcpy_bandwidth <- src.memcpy_bandwidth;
-  dst.ikc_message <- src.ikc_message;
-  dst.proxy_dispatch <- src.proxy_dispatch;
-  dst.proxy_oversub_penalty <- src.proxy_oversub_penalty;
-  dst.offload_linux_cpu_work <- src.offload_linux_cpu_work;
-  dst.noise_interval <- src.noise_interval;
-  dst.noise_duration <- src.noise_duration;
-  dst.nohz_full_factor <- src.nohz_full_factor;
-  dst.mpi_init_base <- src.mpi_init_base;
-  dst.mpi_init_per_round <- src.mpi_init_per_round;
-  dst.pico_init <- src.pico_init;
-  dst.fault_sdma_halt_interval <- src.fault_sdma_halt_interval;
-  dst.fault_sdma_recovery <- src.fault_sdma_recovery;
-  dst.fault_sdma_restart <- src.fault_sdma_restart;
-  dst.fault_ikc_drop <- src.fault_ikc_drop;
-  dst.fault_wire_crc <- src.fault_wire_crc;
-  dst.fault_service_stall_interval <- src.fault_service_stall_interval;
-  dst.fault_service_stall_duration <- src.fault_service_stall_duration;
-  dst.fault_horizon <- src.fault_horizon;
-  dst.fault_link_down_interval <- src.fault_link_down_interval;
-  dst.fault_link_down_duration <- src.fault_link_down_duration;
-  dst.fault_link_derate_interval <- src.fault_link_derate_interval;
-  dst.fault_link_derate_duration <- src.fault_link_derate_duration;
-  dst.fault_link_derate_factor <- src.fault_link_derate_factor;
-  dst.fault_link_corrupt <- src.fault_link_corrupt;
-  dst.ikc_timeout <- src.ikc_timeout;
-  dst.ikc_retry_backoff <- src.ikc_retry_backoff;
-  dst.ikc_max_retries <- src.ikc_max_retries;
-  dst.fabric_retry_backoff <- src.fabric_retry_backoff;
-  dst.fabric_max_retries <- src.fabric_max_retries;
-  dst.serve_horizon <- src.serve_horizon;
-  dst.serve_arrival_interval <- src.serve_arrival_interval;
-  dst.serve_burst_interval <- src.serve_burst_interval;
-  dst.serve_burst_duration <- src.serve_burst_duration;
-  dst.serve_burst_factor <- src.serve_burst_factor;
-  dst.serve_req_bytes <- src.serve_req_bytes;
-  dst.serve_resp_min <- src.serve_resp_min;
-  dst.serve_resp_max <- src.serve_resp_max;
-  dst.serve_resp_alpha <- src.serve_resp_alpha;
-  dst.serve_fanout <- src.serve_fanout;
-  dst.serve_workers <- src.serve_workers;
-  dst.serve_service_base <- src.serve_service_base;
-  dst.serve_service_per_byte <- src.serve_service_per_byte;
-  dst.serve_admit_cap <- src.serve_admit_cap;
-  dst.serve_breaker_threshold <- src.serve_breaker_threshold;
-  dst.serve_breaker_backoff <- src.serve_breaker_backoff;
-  dst.serve_timeout <- src.serve_timeout
+(* Patching swaps records: the patched copy is installed for the scope
+   of [f] and the saved record put back after, so a record fetched
+   before a patch or reset keeps its old values. *)
+let restore src = Domain.DLS.set dls_key (copy src)
 
-let restore src = assign (current ()) src
-
-let reset () = assign (current ()) (defaults ())
+let reset () = Domain.DLS.set dls_key (defaults ())
 
 let with_patched patch f =
-  let cur = current () in
-  let saved = copy cur in
-  patch cur;
-  match f () with
-  | v -> assign cur saved; v
-  | exception e -> assign cur saved; raise e
+  let saved = current () in
+  let patched = copy saved in
+  patch patched;
+  Domain.DLS.set dls_key patched;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set dls_key saved) f

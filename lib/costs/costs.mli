@@ -127,7 +127,10 @@ type t = {
     a fresh domain starts from {!defaults}, and mutations — including
     {!with_patched} and ablation-style field pokes — stay local to the
     domain that made them.  The harness pool propagates the submitting
-    domain's table to its workers via {!snapshot}/{!restore}. *)
+    domain's table to its workers via {!snapshot}/{!restore}.
+    {!with_patched}, {!restore} and {!reset} install a new record rather
+    than overwrite this one, so a record fetched before them keeps its
+    old values: read it again after a patch scope opens or closes. *)
 val current : unit -> t
 
 (** Fresh copy of the calibrated defaults. *)
@@ -139,12 +142,15 @@ val copy : t -> t
 (** Independent copy of the calling domain's live table. *)
 val snapshot : unit -> t
 
-(** Overwrite the calling domain's live table with the given values. *)
+(** Install a copy of the given table as the calling domain's live
+    table. *)
 val restore : t -> unit
 
-(** Restore the calling domain's [current] to defaults (used by tests). *)
+(** Install fresh calibrated defaults as the calling domain's live table
+    (used by tests). *)
 val reset : unit -> unit
 
 (** Run [f] with the calling domain's [current] temporarily replaced by a
-    modified copy. *)
+    patched copy; the saved record is put back when [f] returns or
+    raises. *)
 val with_patched : (t -> unit) -> (unit -> 'a) -> 'a

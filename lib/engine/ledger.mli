@@ -17,7 +17,8 @@
     match; no float operation runs while off.  Ledgers are host-side
     state over simulated timestamps — recording never adds simulated
     time — so arming the flag cannot change simulation results
-    ([picobench scale] prints the "ledgers off: OK" identity line).
+    (test/test_scale.ml and test/test_serve.ml check it, sharded and
+    not).
     [picobench --breakdown PATH] (or [PICO_BREAKDOWN_JSON=PATH])
     switches it on.
 

@@ -25,5 +25,3 @@ let get mb =
 let get_opt mb = Queue.take_opt mb.items
 
 let length mb = Queue.length mb.items
-
-let waiters mb = Queue.length mb.pending

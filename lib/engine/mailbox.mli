@@ -20,6 +20,3 @@ val get_opt : 'a t -> 'a option
 (** Messages currently queued (excludes messages already handed to
     waiters). *)
 val length : 'a t -> int
-
-(** Number of processes currently blocked in [get]. *)
-val waiters : 'a t -> int

@@ -16,8 +16,6 @@ let create sim ~name ~capacity =
     total_served = 0; total_wait = 0.; total_busy = 0.;
     stats_since = Sim.now sim }
 
-let name r = r.name
-
 let capacity r = r.capacity
 
 let in_use r = r.in_use

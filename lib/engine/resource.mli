@@ -10,8 +10,6 @@ type t
 
 val create : Sim.t -> name:string -> capacity:int -> t
 
-val name : t -> string
-
 val capacity : t -> int
 
 (** Servers currently held. *)

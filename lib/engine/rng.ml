@@ -43,10 +43,6 @@ let int t bound =
   let x = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   x mod bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
-
 let exponential t ~mean =
   let u = float t in
   let u = if u <= 0. then epsilon_float else u in

@@ -18,11 +18,6 @@ val float : t -> float
 (** Uniform in [\[0, bound)]; [bound > 0]. *)
 val int : t -> int -> int
 
-val bool : t -> bool
-
-(** Uniform in [\[lo, hi)]. *)
-val uniform : t -> lo:float -> hi:float -> float
-
 (** Exponential with the given [mean]. *)
 val exponential : t -> mean:float -> float
 

@@ -25,8 +25,6 @@ let release s =
 
 let count s = s.count
 
-let waiters s = Queue.length s.pending
-
 let with_sem s f =
   acquire s;
   match f () with

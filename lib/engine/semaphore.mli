@@ -17,7 +17,6 @@ val release : t -> unit
 
 val count : t -> int
 
-val waiters : t -> int
 
 (** [with_sem s f] = acquire; run [f]; release (also on exception). *)
 val with_sem : t -> (unit -> 'a) -> 'a

@@ -625,8 +625,6 @@ let take_steps t =
   t.steps <- [];
   List.rev steps
 
-let ns x = x
-
 let us x = x *. 1e3
 
 let ms x = x *. 1e6

@@ -253,8 +253,6 @@ val in_process : t -> bool
 val current_name : t -> string option
 
 (** Time units, for readability of model code: [us 3.0] is 3000 ns. *)
-val ns : float -> float
-
 val us : float -> float
 
 val ms : float -> float

@@ -135,8 +135,6 @@ let draw ~rng ~n_nodes topo =
 
 let factor t = t.factor
 
-let topology t = t.topo
-
 (* [window_at ws ~time] is the [Some stop] of the window containing
    [time] (half-open [start, stop)), else [None]. *)
 let window_at ws ~time =
@@ -191,18 +189,6 @@ let down_in_epoch t ~epoch hop =
   match down_at t hop ~time:(epoch_start t epoch) with
   | Some _ -> true
   | None -> false
-
-(* First down boundary strictly after [time]; [None] once every link is
-   permanently up again. *)
-let next_boundary t ~time =
-  let n = Array.length t.epochs in
-  let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.epochs.(mid) > time then begin found := mid; hi := mid - 1 end
-    else lo := mid + 1
-  done;
-  if !found < 0 then None else Some t.epochs.(!found)
 
 let corrupt_armed t = t.corrupt_p > 0.
 

@@ -25,8 +25,6 @@ type t
     link — or if [n_nodes <= 0]. *)
 val draw : rng:Rng.t -> n_nodes:int -> Topology.t -> t
 
-val topology : t -> Topology.t
-
 (** Remaining bandwidth fraction inside a derate window, in (0, 1]. *)
 val factor : t -> float
 
@@ -58,9 +56,6 @@ val epoch_count : t -> int
     given epoch. *)
 val down_in_epoch : t -> epoch:int -> Route.hop -> bool
 
-(** First down boundary strictly after [time]; [None] once every link
-    is permanently up. *)
-val next_boundary : t -> time:float -> float option
 
 (** True when the corrupt-and-replay rate is nonzero (lets hot paths
     skip the stream entirely at zero rate). *)

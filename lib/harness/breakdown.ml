@@ -43,11 +43,6 @@ let note_sim sim =
     end
   end
 
-let reset () =
-  Mutex.lock mutex;
-  acc := [];
-  Mutex.unlock mutex
-
 let take () =
   Mutex.lock mutex;
   let snaps = !acc in
@@ -71,7 +66,7 @@ let step_key (label, series, time, delta) =
   Printf.sprintf "%s|%s|%h|%d" series label time delta
 
 (* The raw window, serialized in canonical order — the shard-identity
-   probe compares this across shard-on/off runs. *)
+   tests compare this across shard-on/off runs. *)
 let fingerprint_of snaps =
   let ledgers =
     List.concat_map
@@ -136,40 +131,9 @@ let dump () =
   Mutex.unlock mutex;
   List.sort (fun (a, _) (b, _) -> compare a b) l
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let float_lit v =
-  if Float.is_finite v then Printf.sprintf "%.12g" v else "null"
-
 (* No wall-clock, no jobs count, no host identity: the file is a pure
    function of the simulated worlds, so check.sh byte-diffs it unmasked. *)
-let to_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"picodriver-breakdown-v1\"";
-  Buffer.add_string b ",\n  \"metrics\": {";
-  let entries = dump () in
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n    \"%s\": %s" (escape k) (float_lit v)))
-    entries;
-  if entries <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "}\n}\n";
-  Buffer.contents b
+let to_json () = Report.render_json ~schema:"picodriver-breakdown-v1" (dump ())
 
 let write path =
   let oc = open_out path in

@@ -38,8 +38,9 @@
     ascending before quantiles and totals).  The written file contains
     no wall-clock, host, or jobs information: it is a pure function of
     the simulated results, byte-identical at any [-j], across re-runs,
-    and between shard-on and shard-off runs ([picobench scale] asserts
-    the latter; check.sh byte-diffs the file at jobs=1 vs 4, unmasked). *)
+    and between shard-on and shard-off runs (test/test_scale.ml and
+    test/test_serve.ml assert the latter; check.sh byte-diffs the file
+    at jobs=1 vs 4, unmasked). *)
 
 (** Drain a finished simulation's ledgers and steps into the collector.
     No-op when ledger recording is off. *)
@@ -50,13 +51,10 @@ val note_sim : Pico_engine.Sim.t -> unit
     ledgers off leave the registry untouched. *)
 val flush : figure:string -> unit
 
-(** Drop the raw (unflushed) window only. *)
-val reset : unit -> unit
-
 (** Canonical digest of the raw window's content (sorted ledgers, steps
     and world horizons); clears the window.  Two runs producing the
     same simulated results — e.g. shard-on vs shard-off — yield equal
-    fingerprints; [picobench scale] compares them. *)
+    fingerprints; the shard and ledger identity tests compare them. *)
 val take_fingerprint : unit -> string
 
 (** The raw window's tagged closed ledgers in canonical content order;
@@ -70,7 +68,8 @@ val size : unit -> int
 (** Flushed metrics, sorted by key. *)
 val dump : unit -> (string * float) list
 
-(** JSON object: [schema] marker plus the sorted [metrics] object. *)
+(** {!Report.render_json} of the flushed metrics, schema
+    [picodriver-breakdown-v1]. *)
 val to_json : unit -> string
 
 (** [write path] — {!to_json} to a file (trailing newline included). *)

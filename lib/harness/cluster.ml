@@ -46,8 +46,8 @@ let note_shard_refused () = Atomic.incr shard_refused
 let shard_refusals () = Atomic.get shard_refused
 
 let build kind ~n_nodes ?topology ?(sharding = false)
-    ?(ordered_arrivals = false) ?(carry_payload = false) ?(service_cores = 4)
-    ?(lwk_cores = 64) ?(seed = 0x5EEDL) ?rcv_entries () =
+    ?(ordered_arrivals = false) ?(carry_payload = false) ?(lwk_cores = 64)
+    ?(seed = 0x5EEDL) ?rcv_entries () =
   if n_nodes <= 0 then invalid_arg "Cluster.build: n_nodes must be > 0";
   let sim = Sim.create () in
   Sim.set_label sim (Printf.sprintf "%s/%dn" (kind_to_string kind) n_nodes);
@@ -74,7 +74,8 @@ let build kind ~n_nodes ?topology ?(sharding = false)
     let node = Node.create_knl sim ~id () in
     let hfi = Hfi.create sim ~node ~fabric ~carry_payload ?rcv_entries () in
     let linux =
-      Lkernel.boot sim ~node ~service_cores
+      (* 4 CPUs per node serve OS activity, as on Oakforest-PACS. *)
+      Lkernel.boot sim ~node ~service_cores:4
         ~nohz_full:true (* Fujitsu's HPC-optimised production setting *)
         ~rng:(Rng.split rng)
     in

@@ -63,9 +63,8 @@ val shard_refusals : unit -> int
     topology.
 
     [carry_payload] turns on end-to-end data fidelity
-    (tests/examples; off for large sweeps).  [service_cores] is the
-    per-node CPU count reserved for OS activity (default 4, as on
-    Oakforest-PACS). *)
+    (tests/examples; off for large sweeps).  Each node reserves 4 CPUs
+    for OS activity, as on Oakforest-PACS. *)
 val build :
   os_kind ->
   n_nodes:int ->
@@ -73,7 +72,6 @@ val build :
   ?sharding:bool ->
   ?ordered_arrivals:bool ->
   ?carry_payload:bool ->
-  ?service_cores:int ->
   ?lwk_cores:int ->
   ?seed:int64 ->
   ?rcv_entries:int ->

@@ -1158,45 +1158,14 @@ let fabric ?jobs () =
 (* The Figures 5-7-shaped sweep pushed to the node counts the paper's
    cluster actually had, made tractable by per-node event sharding
    ([Cluster.build ~sharding], with the content-ordered barrier merge;
-   flat worlds only).  Part A proves on small worlds that sharding
-   changes no simulation result; Part B runs the big sweep sharded. *)
+   flat worlds only).  Part A runs the big sweep sharded; Part B is the
+   oversubscribed fat-tree tail.  That sharding changes no simulation
+   result is test_scale's law, on the UMT wavefront world. *)
 
 let at_scale_nodes s =
   if s = full then [ 256; 512; 1024 ]
   else if s = medium then [ 64; 128; 256; 512 ]
   else [ 64; 128; 256 ]
-
-(* Everything simulated a run produced, as exact bit patterns: any float
-   divergence upstream lands in at least one of these.  Only flat worlds
-   reach it (the probes below and {!serve_probe}), so there are no
-   per-tier link counters to cover. *)
-let at_scale_fingerprint (cl : Cluster.t) (res : Experiment.result) =
-  (* Fabric fault counters are results too (parks, replays, reroutes,
-     retries all happen at result-determined instants), unlike engine
-     elision counts — so shard-on/off must reproduce them exactly. *)
-  let fs = Fabric.fault_stats cl.Cluster.fabric in
-  Printf.sprintf "%Lx;%Lx;%Lx;%d;%d;%d:%Lx:%d:%d:%d:%d:%d"
-    (Int64.bits_of_float res.Experiment.fom_ns)
-    (Int64.bits_of_float res.Experiment.wall_ns)
-    (Int64.bits_of_float res.Experiment.init_ns)
-    (Fabric.packets_delivered cl.Cluster.fabric)
-    (Fabric.bytes_delivered cl.Cluster.fabric)
-    fs.Fabric.fs_parks
-    (Int64.bits_of_float fs.Fabric.fs_park_ns)
-    fs.Fabric.fs_replays fs.Fabric.fs_reroutes fs.Fabric.fs_egress_parks
-    fs.Fabric.fs_retries fs.Fabric.fs_degraded
-
-(* Identity across shard-on/off only holds between runs sharing the same
-   same-instant arrival tie-break: sharded builds force the content
-   order, so the unsharded comparator opts into it too. *)
-let at_scale_probe ~shard kind =
-  let cl =
-    Cluster.build kind ~n_nodes:4 ~sharding:shard ~ordered_arrivals:true ()
-  in
-  let res =
-    Experiment.run cl ~ranks_per_node:2 (fun c -> Pico_apps.Umt.run c)
-  in
-  at_scale_fingerprint cl res
 
 (* The oversubscribed fat-tree tail: fewer, larger node counts than the
    flat sweep, with a starved core (radix 4, oversub 2: two spines for
@@ -1213,71 +1182,14 @@ let at_scale ?(scale = quick) ?jobs () =
   let refused0 = Cluster.shard_refusals () in
   let b = Buffer.create 4096 in
   buf_add b "At-scale collapse on the sharded engine\n\n";
-  (* Part A: per OS configuration, the sharded run must reproduce the
-     unsharded baseline bit for bit. *)
-  let shard_ok =
-    List.for_all
-      (fun kind ->
-        let base = at_scale_probe ~shard:false kind in
-        at_scale_probe ~shard:true kind = base)
-      os_kinds
-  in
-  Report.record ~figure:"scale" ~metric:"shard_equiv"
-    (if shard_ok then 1. else 0.);
-  buf_add b
-    (Printf.sprintf "sharding on/off: %s (3 OS configs)\n"
-       (if shard_ok then "OK, byte-identical" else "MISMATCH"));
-  (* Ledger probes: arming latency ledgers is host-side recording only,
-     so (1) simulation results must stay bit-identical to the unarmed
-     baseline, and (2) the recorded ledger content must itself be
-     identical between shard-on and shard-off runs (the breakdown file
-     is a content-sorted fold of it). *)
-  let with_ledgers v f =
-    let prev = Ledger.on () in
-    Ledger.set_on v;
-    Fun.protect ~finally:(fun () -> Ledger.set_on prev) f
-  in
-  (* Discard anything earlier probes buffered (possible when the whole
-     run is invoked with --breakdown) so each fingerprint below covers
-     exactly one probe run. *)
-  ignore (Breakdown.take_fingerprint ());
-  let lg_results_ok, lg_content_ok =
-    List.fold_left
-      (fun (r_ok, c_ok) kind ->
-        let plain =
-          with_ledgers false (fun () -> at_scale_probe ~shard:false kind)
-        in
-        ignore (Breakdown.take_fingerprint ());
-        let armed =
-          with_ledgers true (fun () -> at_scale_probe ~shard:false kind)
-        in
-        let lg_unsharded = Breakdown.take_fingerprint () in
-        let sharded =
-          with_ledgers true (fun () -> at_scale_probe ~shard:true kind)
-        in
-        let lg_sharded = Breakdown.take_fingerprint () in
-        ( r_ok && plain = armed && sharded = plain,
-          c_ok && lg_unsharded = lg_sharded ))
-      (true, true) os_kinds
-  in
-  Report.record ~figure:"scale" ~metric:"ledger_off_equiv"
-    (if lg_results_ok then 1. else 0.);
-  Report.record ~figure:"scale" ~metric:"ledger_shard_equiv"
-    (if lg_content_ok then 1. else 0.);
-  buf_add b
-    (Printf.sprintf "ledgers off: %s (3 OS configs)\n"
-       (if lg_results_ok then "OK, results byte-identical" else "MISMATCH"));
-  buf_add b
-    (Printf.sprintf "ledger shard on/off: %s (3 OS configs)\n\n"
-       (if lg_content_ok then "OK, breakdown byte-identical" else "MISMATCH"));
-  (* Part B: the big sweep, sharded. *)
+  (* Part A: the big sweep, sharded. *)
   let rpn = 8 in
   let nodes = at_scale_nodes scale in
   (* Half the steps and sweep phases of the calibrated Figure 6a runs:
      the FOM ratios are steady-state per-step quantities, so the
      collapse shape is unchanged while the 256-node points stay in
-     check.sh territory.  Part A (and test_scale) keep the full default
-     parameters — denser traffic is the stronger identity check. *)
+     check.sh territory.  test_scale's identity laws keep the full
+     default parameters — denser traffic is the stronger check. *)
   let umt_params =
     { Pico_apps.Umt.default with steps = 2; sweep_phases = 2 }
   in
@@ -1325,7 +1237,7 @@ let at_scale ?(scale = quick) ?jobs () =
     (Tables.render
        ~header:[ "nodes"; "Linux"; "McKernel"; "McKernel+HFI1"; "Linux FOM" ]
        rows);
-  (* Part C: the oversubscribed fat-tree tail, 16 ranks/node on a
+  (* Part B: the oversubscribed fat-tree tail, 16 ranks/node on a
      starved core.  Flat comparators run at the same node counts so the
      collapse knee — the per-OS-kind fat-tree slowdown as the spine
      saturates — is a within-figure ratio; both sides run unsharded, so
@@ -1490,51 +1402,6 @@ let serve_aggregate (res : Experiment.result) out =
     sv_trips = !trips;
     sv_occupancy = Subsys_obs.ratio !busy capacity }
 
-(* Everything a serve run simulated, bit-exact: the fabric/engine
-   fingerprint plus every service-level counter and latency sample —
-   shed, tripped and trip counts are simulation results and must survive
-   shard-on/off. *)
-let serve_fingerprint (cl : Cluster.t) (res : Experiment.result) out =
-  let b = Buffer.create 512 in
-  buf_add b (at_scale_fingerprint cl res);
-  Array.iter
-    (function
-      | Some (Serve.Client cs) ->
-        buf_add b
-          (Printf.sprintf ";C%d:%d:%d:%d:%d:%d:%d" cs.Serve.c_arrivals
-             cs.Serve.c_issued cs.Serve.c_ok cs.Serve.c_shed cs.Serve.c_late
-             cs.Serve.c_tripped cs.Serve.c_trips);
-        List.iter
-          (fun l -> buf_add b (Printf.sprintf ":%Lx" (Int64.bits_of_float l)))
-          cs.Serve.c_lats
-      | Some (Serve.Server ss) ->
-        buf_add b
-          (Printf.sprintf ";S%d:%d:%Lx" ss.Serve.s_handled ss.Serve.s_shed
-             (Int64.bits_of_float ss.Serve.s_busy_ns))
-      | None -> buf_add b ";-")
-    out;
-  Buffer.contents b
-
-(* Small armed flat world for the identity probes: moderate load with
-   admission, breaker and deadline all on, so the shed/trip counters in
-   the fingerprint are live.  Both sides share the ordered arrival
-   tie-break that sharded builds force. *)
-let serve_probe ~shard kind =
-  Costs.with_patched (fun c ->
-      c.Costs.serve_arrival_interval <- 2_500.;
-      c.Costs.serve_horizon <- 1.0e6;
-      c.Costs.serve_burst_interval <- 5.0e4;
-      c.Costs.serve_fanout <- 2;
-      c.Costs.serve_admit_cap <- 4;
-      c.Costs.serve_breaker_threshold <- 4;
-      c.Costs.serve_timeout <- 1.0e6)
-  @@ fun () ->
-  let cl =
-    Cluster.build kind ~n_nodes:4 ~sharding:shard ~ordered_arrivals:true ()
-  in
-  let res, out = serve_world cl in
-  serve_fingerprint cl res out
-
 (* The load sweep: offered load per point via the arrival interval, with
    a fixed request count so the quantiles compare like for like. *)
 let serve_requests = 400
@@ -1599,49 +1466,10 @@ let serve ?jobs () =
   Report.record ~figure:"serve" ~metric:"defaults_inert_equiv"
     (if inert_ok then 1. else 0.);
   buf_add b
-    (Printf.sprintf "serve defaults inert: %s (%.1f MB/s)\n"
+    (Printf.sprintf "serve defaults inert: %s (%.1f MB/s)\n\n"
        (if inert_ok then "OK, byte-identical" else "MISMATCH")
        guarded_mbps);
-  (* Part B: shard-on/off identity on the flat fabric (fat-trees never
-     shard), all OS configs — with admission, breaker and deadline armed
-     so shed/trip counters are part of the compared fingerprints. *)
-  let shard_ok =
-    List.for_all
-      (fun kind ->
-        serve_probe ~shard:false kind = serve_probe ~shard:true kind)
-      os_kinds
-  in
-  Report.record ~figure:"serve" ~metric:"shard_equiv"
-    (if shard_ok then 1. else 0.);
-  buf_add b
-    (Printf.sprintf "serve sharding on/off: %s (3 OS configs, flat)\n"
-       (if shard_ok then "OK, byte-identical" else "MISMATCH"));
-  (* Ledger identity: arming the serve ledgers changes no result, and a
-     sharded run records byte-identical breakdown content. *)
-  let with_ledgers v f =
-    let prev = Ledger.on () in
-    Ledger.set_on v;
-    Fun.protect ~finally:(fun () -> Ledger.set_on prev) f
-  in
-  ignore (Breakdown.take_fingerprint ());
-  let lg_ok =
-    List.for_all
-      (fun kind ->
-        let plain = with_ledgers false (fun () -> serve_probe ~shard:false kind) in
-        ignore (Breakdown.take_fingerprint ());
-        let armed = with_ledgers true (fun () -> serve_probe ~shard:false kind) in
-        let lg_off = Breakdown.take_fingerprint () in
-        let sharded = with_ledgers true (fun () -> serve_probe ~shard:true kind) in
-        let lg_on = Breakdown.take_fingerprint () in
-        plain = armed && armed = sharded && lg_off = lg_on)
-      os_kinds
-  in
-  Report.record ~figure:"serve" ~metric:"ledger_shard_equiv"
-    (if lg_ok then 1. else 0.);
-  buf_add b
-    (Printf.sprintf "serve ledger shard on/off: %s (3 OS configs)\n\n"
-       (if lg_ok then "OK, breakdown byte-identical" else "MISMATCH"));
-  (* Part C: the load sweep across the saturation knee, per topology and
+  (* Part B: the load sweep across the saturation knee, per topology and
      OS configuration.  Each point is an independent world with a
      domain-local cost patch, so the pool fan-out stays byte-identical
      at any -j. *)

@@ -95,17 +95,14 @@ val faults : ?size:int -> ?iters:int -> ?jobs:int -> unit -> string
     part of {!all}. *)
 val fabric : ?jobs:int -> unit -> string
 
-(** At-scale sweeps on the sharded engine: (a) per OS configuration,
-    small-world proof that shard-on/off produces byte-identical
-    simulation results (the unsharded comparator passes
-    [~ordered_arrivals:true], the tie-break sharded builds force), and
-    that arming latency ledgers changes no result and records the same
-    breakdown sharded or not; (b) the Figure 6a-shaped UMT2013 sweep
-    pushed to 64-256 nodes (quick scale; up to 1024 at full), sharded —
-    the paper's at-scale collapse in minutes; (c) an unsharded
-    oversubscribed fat-tree tail against flat at the same node counts.
-    [engine/shards/*] report keys expose per-shard event counts, barrier
-    rounds and epochs skipped.  Not part of {!all}. *)
+(** At-scale sweeps on the sharded engine: (a) the Figure 6a-shaped
+    UMT2013 sweep pushed to 64-256 nodes (quick scale; up to 1024 at
+    full), sharded — the paper's at-scale collapse in minutes; (b) an
+    unsharded oversubscribed fat-tree tail against flat at the same node
+    counts.  [engine/shards/*] report keys expose per-shard event counts,
+    barrier rounds and epochs skipped.  That sharding and ledgers change
+    no result is test/test_scale.ml's law, not this figure's.  Not part
+    of {!all}. *)
 val at_scale : ?scale:scale -> ?jobs:int -> unit -> string
 
 (** One aggregated point of the serve load sweep.  Every ratio-style
@@ -139,15 +136,13 @@ val serve_aggregate :
 (** Sharded service workload with open-loop traffic: (a) zero-knob
     inertness proof (the default cost table takes no RNG split and adds
     no float ops — a legacy world is byte-identical to the pre-serve
-    tree); (b) shard-on/off and ledger-armed identity of the full serve
-    fingerprint — every latency sample plus the shed/tripped/trip
-    counters — on flat worlds per OS configuration;
-    (c) an offered-load sweep across the saturation knee (Linux /
+    tree); (b) an offered-load sweep across the saturation knee (Linux /
     McKernel+offload / McKernel+PicoDriver x topology) reporting
     goodput, exact nearest-rank p50/p99/p999, shed/tripped counts and
     worker occupancy under the [serve/*] report keys, with
-    [lat/serve/*] ledger phases via [--breakdown].  Not part of
-    {!all}. *)
+    [lat/serve/*] ledger phases via [--breakdown].  Shard-on/off and
+    ledger identity of the serve fingerprint is test/test_serve.ml's law.
+    Not part of {!all}. *)
 val serve : ?jobs:int -> unit -> string
 
 (** Run everything at the given scale (the bench harness entry point). *)

@@ -122,5 +122,3 @@ let init_rank cl ~node_idx ~rank =
   | Cluster.Linux -> init_linux cl env ~rank
   | Cluster.Mckernel -> init_mckernel cl env ~rank ~with_pico:false
   | Cluster.Mckernel_hfi -> init_mckernel cl env ~rank ~with_pico:true
-
-let fini_rank _cl _env = ()

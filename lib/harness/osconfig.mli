@@ -17,6 +17,3 @@ type rank_env = {
 (** [init_rank cluster ~node_idx ~rank] opens the HFI device through the
     configuration's syscall path and assembles the OS vector. *)
 val init_rank : Cluster.t -> node_idx:int -> rank:int -> rank_env
-
-(** Tear down (close the device). *)
-val fini_rank : Cluster.t -> rank_env -> unit

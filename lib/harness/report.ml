@@ -11,42 +11,25 @@ let with_lock f =
 let record ~figure ~metric v =
   with_lock (fun () -> Hashtbl.replace metrics (figure ^ "/" ^ metric) v)
 
-let clear () = with_lock (fun () -> Hashtbl.reset metrics)
-
-let size () = with_lock (fun () -> Hashtbl.length metrics)
-
 let dump () =
   with_lock (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) metrics [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let float_lit v =
   if Float.is_finite v then Printf.sprintf "%.12g" v else "null"
 
-let to_json ?(extra = []) () =
+let escape = Pico_engine.Span.escape
+
+let render_json ~schema ?(extra = []) entries =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"picodriver-bench-v1\"";
+  Buffer.add_string b
+    (Printf.sprintf "{\n  \"schema\": \"%s\"" (escape schema));
   List.iter
     (fun (k, v) ->
       Buffer.add_string b
         (Printf.sprintf ",\n  \"%s\": \"%s\"" (escape k) (escape v)))
     extra;
   Buffer.add_string b ",\n  \"metrics\": {";
-  let entries = dump () in
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
@@ -56,6 +39,9 @@ let to_json ?(extra = []) () =
   if entries <> [] then Buffer.add_string b "\n  ";
   Buffer.add_string b "}\n}\n";
   Buffer.contents b
+
+let to_json ?extra () =
+  render_json ~schema:"picodriver-bench-v1" ?extra (dump ())
 
 let write ?extra path =
   let oc = open_out path in

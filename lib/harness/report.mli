@@ -11,17 +11,20 @@
     overwriting any previous value for that key. *)
 val record : figure:string -> metric:string -> float -> unit
 
-(** Drop everything recorded so far. *)
-val clear : unit -> unit
-
-(** Number of metrics currently recorded. *)
-val size : unit -> int
-
 (** All recorded metrics, sorted by key. *)
 val dump : unit -> (string * float) list
 
-(** JSON object with a [schema] marker, the given extra string fields,
-    and a sorted ["metrics"] object. *)
+(** [render_json ~schema ?extra entries] is the one JSON layout of both
+    metric registries (this one and {!Breakdown}'s): a [schema] marker,
+    the [extra] string fields in order, and a ["metrics"] object of
+    [entries] in the order given (callers pass them sorted by key), with
+    non-finite values written as [null]. *)
+val render_json :
+  schema:string -> ?extra:(string * string) list -> (string * float) list ->
+  string
+
+(** {!render_json} of the recorded metrics, schema
+    [picodriver-bench-v1]. *)
 val to_json : ?extra:(string * string) list -> unit -> string
 
 (** [write ?extra path] writes {!to_json} to [path] (trailing newline

@@ -21,8 +21,4 @@ let arrive t =
   if t.count >= t.parties then release t
   else Sim.suspend t.sim (fun resume -> t.waiters <- resume :: t.waiters)
 
-let arrive_nonblocking t =
-  t.count <- t.count + 1;
-  if t.count >= t.parties then release t
-
 let arrived t = t.count

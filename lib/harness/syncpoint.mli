@@ -13,7 +13,4 @@ val create : Sim.t -> parties:int -> t
 (** Arrive and block until everyone has arrived. *)
 val arrive : t -> unit
 
-(** Arrive without blocking (the last arrival still releases waiters). *)
-val arrive_nonblocking : t -> unit
-
 val arrived : t -> int

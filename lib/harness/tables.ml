@@ -29,10 +29,6 @@ let render ~header rows =
 
 let pct x = Printf.sprintf "%.1f%%" (x *. 100.)
 
-let f1 x = Printf.sprintf "%.1f" x
-
-let f2 x = Printf.sprintf "%.2f" x
-
 let ns x =
   if x >= 1e9 then Printf.sprintf "%.2f s" (x /. 1e9)
   else if x >= 1e6 then Printf.sprintf "%.2f ms" (x /. 1e6)

@@ -7,10 +7,6 @@ val render : header:string list -> string list list -> string
 (** Percentage formatting: [pct 0.934] = ["93.4%"]. *)
 val pct : float -> string
 
-val f1 : float -> string
-
-val f2 : float -> string
-
 (** Nanoseconds to a human unit (µs/ms/s) with 2 decimals. *)
 val ns : float -> string
 

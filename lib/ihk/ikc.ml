@@ -15,8 +15,6 @@ let send ch v =
 
 let recv ch = Mailbox.get ch.queue
 
-let pending ch = Mailbox.length ch.queue
-
 let sent_total ch = ch.sent
 
 type ('req, 'resp) pair = {

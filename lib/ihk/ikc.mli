@@ -17,8 +17,6 @@ val send : 'a channel -> 'a -> unit
 (** Blocking receive (process context). *)
 val recv : 'a channel -> 'a
 
-val pending : 'a channel -> int
-
 val sent_total : 'a channel -> int
 
 (** A request/response pair of channels, as used by the delegator. *)

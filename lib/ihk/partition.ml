@@ -47,8 +47,6 @@ let release t =
 
 let lwk_cpu_count t = List.length t.lwk_cpus
 
-let linux_cpu_count t = List.length t.linux_cpus
-
 let lwk_core_count t = cores_of t.lwk_cpus
 
 let linux_core_count t = cores_of t.linux_cpus

@@ -25,8 +25,6 @@ val release : t -> unit
 
 val lwk_cpu_count : t -> int
 
-val linux_cpu_count : t -> int
-
 (** Physical cores per partition. *)
 
 val lwk_core_count : t -> int

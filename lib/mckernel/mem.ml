@@ -24,8 +24,6 @@ type t = {
   mutable live : int;
   mutable anon_bytes : int;
   mutable anon_large_bytes : int;
-  mutable anon_mappings : int;
-  mutable anon_contiguous : int;
 }
 
 let create sim ~node ~vspace ~lwk_cores =
@@ -36,8 +34,7 @@ let create sim ~node ~vspace ~lwk_cores =
     objects = Hashtbl.create 256;
     remote_free = Queue.create ();
     remote_frees = 0;
-    live = 0; anon_bytes = 0; anon_large_bytes = 0;
-    anon_mappings = 0; anon_contiguous = 0 }
+    live = 0; anon_bytes = 0; anon_large_bytes = 0 }
 
 let vspace t = t.vs
 
@@ -118,14 +115,11 @@ let map_anon t ~pt ~cursor ~len =
     Hashtbl.add t.backing va chunks;
     t.anon_bytes <- t.anon_bytes + rounded;
     t.anon_large_bytes <- t.anon_large_bytes + large_bytes;
-    t.anon_mappings <- t.anon_mappings + 1;
-    let contiguous = List.length chunks = 1 in
-    if contiguous then t.anon_contiguous <- t.anon_contiguous + 1;
     charge t 800. (* mapping setup *);
     { va; len = rounded;
       page_size =
         (if large_bytes = rounded then Addr.large_page_size else Addr.page_size);
-      contiguous }
+      contiguous = List.length chunks = 1 }
 
 (* McKernel's munmap is expensive: page-table teardown, per-page free
    list handling, and a TLB shootdown broadcast to every LWK core (the
@@ -158,10 +152,6 @@ let unmap t ~pt (m : mapping) =
 let large_page_fraction t =
   if t.anon_bytes = 0 then 0.
   else float_of_int t.anon_large_bytes /. float_of_int t.anon_bytes
-
-let contiguous_fraction t =
-  if t.anon_mappings = 0 then 0.
-  else float_of_int t.anon_contiguous /. float_of_int t.anon_mappings
 
 (* --- kernel objects ---------------------------------------------------- *)
 

@@ -46,9 +46,6 @@ val unmap : t -> pt:Pagetable.t -> mapping -> unit
 (** Fraction of anonymous bytes mapped with large pages so far. *)
 val large_page_fraction : t -> float
 
-(** Fraction of mappings that got one contiguous physical run. *)
-val contiguous_fraction : t -> float
-
 (** {2 Kernel-object allocator} *)
 
 (** [kalloc t ~core size] — allocate from [core]'s slab. *)

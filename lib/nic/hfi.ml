@@ -334,8 +334,6 @@ let create sim ~node ~fabric ?(carry_payload = false)
   Sdma.set_batch t.sdma (sdma_batch t);
   t
 
-let node t = t.node
-
 let node_id t = t.node.Node.id
 
 (* Fabric fault-domain passthroughs for the transport layers (lib/psm

@@ -55,8 +55,6 @@ val create :
   Sim.t -> node:Node.t -> fabric:Fabric.t -> ?carry_payload:bool ->
   ?rcv_entries:int -> unit -> t
 
-val node : t -> Node.t
-
 val node_id : t -> int
 
 (** IRQ vector on which SDMA completions are raised. *)

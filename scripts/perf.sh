@@ -99,7 +99,7 @@ fi
 #   faults: the injector over every fault family — SDMA halts, IKC
 #     drops, and the fabric link-fault degradation sweep — so it watches
 #     what fault bookkeeping and the failover/retry machinery cost.
-#   serve: the identity probes plus the offered-load sweep — open-loop
+#   serve: the inertness check plus the offered-load sweep — open-loop
 #     replay, admission queues, breaker bookkeeping and the nearest-rank
 #     quantile sort.
 #   scale: the 64-256-node sweep on the sharded engine, whose whole

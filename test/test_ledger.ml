@@ -191,9 +191,9 @@ let test_repeat_deterministic () =
   Alcotest.(check string) "byte-identical across runs" (shot ()) (shot ())
 
 let test_shard_identity () =
-  (* Same law as `picobench scale`'s probe: the ledger content a sharded
-     run records is identical to the unsharded run's (under the shared
-     ordered arrival tie-break). *)
+  (* The ledger content a sharded run records is identical to the
+     unsharded run's (under the shared ordered arrival tie-break);
+     test_scale's `umt wavefront identity` checks it on a denser world. *)
   with_ledgers true @@ fun () ->
   let shot sharding =
     ignore (Breakdown.take_ledgers ());

@@ -1,13 +1,14 @@
 (* Tests for the sharded engine and whole-cluster SDMA packet-train
    batching: byte identity of simulation results across shard-on/off on
-   flat worlds (including with fault injection armed and with SDMA
-   engines halting mid-run), across batching-on/off against the
-   per-packet reference on flat and fat-tree clusters (with halts and
-   link faults, and in the fat-tree worlds where same-instant link ties
-   decide results), Route memoization, and the shard counter plumbing
-   (including refused requests). *)
+   flat worlds (including with fault injection armed, with SDMA engines
+   halting mid-run, and with latency ledgers armed), across
+   batching-on/off against the per-packet reference on flat and fat-tree
+   clusters (with halts and link faults, and in the fat-tree worlds where
+   same-instant link ties decide results), Route memoization, and the
+   shard counter plumbing (including refused requests). *)
 
 module Sim = Pico_engine.Sim
+module Ledger = Pico_engine.Ledger
 module Topology = Pico_fabric.Topology
 module Route = Pico_fabric.Route
 module Fabric = Pico_nic.Fabric
@@ -17,6 +18,7 @@ module Costs = Pico_costs.Costs
 module Cluster = Pico_harness.Cluster
 module Experiment = Pico_harness.Experiment
 module Fault = Pico_harness.Fault
+module Breakdown = Pico_harness.Breakdown
 module Comm = Pico_mpi.Comm
 module Collectives = Pico_mpi.Collectives
 module Mpi = Pico_mpi.Mpi
@@ -213,20 +215,44 @@ let prop_shard_identity =
          results, never engine-internal counters. *)
       && p.elided = base.elided)
 
-(* The `picobench scale` part A probe: UMT's persistent-channel wavefront
-   sweeps (6-neighbour rendezvous halos) are the densest same-instant
-   traffic any figure generates. *)
+(* UMT's persistent-channel wavefront sweeps (6-neighbour rendezvous
+   halos) are the densest same-instant traffic any figure generates.  On
+   this world — 4 nodes x 2 ranks, seed 0x5EED, ordered arrivals, every
+   OS kind — this test is the only home of three laws: (1) sharding
+   changes no simulation result; (2) arming latency ledgers changes no
+   result, sharded or not; (3) a sharded run records the same ledger
+   content as the unsharded one.  test_ledger checks (2) and (3) on FOM
+   bits of a 2-node world only. *)
 let test_umt_identity () =
   Array.iter
     (fun kind ->
-      let run ~shard =
-        run_probe
-          ~app:(fun c -> Pico_apps.Umt.run c)
-          ~kind ~n_nodes:4 ~rpn:2 ~seed:0x5EEDL ~faults:false ~shard ()
+      let run ~ledgers ~shard =
+        ignore (Breakdown.take_fingerprint ());
+        Ledger.set_on ledgers;
+        Fun.protect ~finally:(fun () -> Ledger.set_on false) @@ fun () ->
+        let p =
+          run_probe
+            ~app:(fun c -> Pico_apps.Umt.run c)
+            ~kind ~n_nodes:4 ~rpn:2 ~seed:0x5EEDL ~faults:false ~shard ()
+        in
+        let recorded = Breakdown.size () in
+        (p.fp, recorded, Breakdown.take_fingerprint ())
       in
-      Alcotest.(check string)
-        (Printf.sprintf "umt identity %s" (Cluster.kind_to_string kind))
-        (run ~shard:false).fp (run ~shard:true).fp)
+      let name law =
+        Printf.sprintf "umt %s: %s" (Cluster.kind_to_string kind) law
+      in
+      let plain, _, _ = run ~ledgers:false ~shard:false in
+      let sharded, _, _ = run ~ledgers:false ~shard:true in
+      let armed, n_armed, lg_unsharded = run ~ledgers:true ~shard:false in
+      let armed_sharded, _, lg_sharded = run ~ledgers:true ~shard:true in
+      Alcotest.(check string) (name "sharding on/off") plain sharded;
+      Alcotest.(check bool) (name "armed runs record ledgers") true
+        (n_armed > 0);
+      Alcotest.(check string) (name "ledgers off = armed") plain armed;
+      Alcotest.(check string) (name "ledgers off = armed, sharded") plain
+        armed_sharded;
+      Alcotest.(check string) (name "ledger shard on/off") lg_unsharded
+        lg_sharded)
     kinds
 
 (* With halts armed and several ranks per node, SDMA engines halt

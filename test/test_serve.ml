@@ -3,14 +3,18 @@
    against the list-scan reference plan, the zero-knob
    inertness law (the defaults return an empty plan without taking the
    caller's RNG split), an end-to-end run with admission shedding and
-   breaker trips live, and shard-on/off identity of the full result
-   fingerprint — every latency sample plus the shed/trip counters — on
-   flat worlds. *)
+   breaker trips live, and shard-on/off and ledger-armed identity of the
+   full result fingerprint — every latency sample, the shed/trip
+   counters and the fabric counters — and of the recorded ledger
+   content, on flat worlds. *)
 
 module Rng = Pico_engine.Rng
+module Ledger = Pico_engine.Ledger
+module Fabric = Pico_nic.Fabric
 module Costs = Pico_costs.Costs
 module Cluster = Pico_harness.Cluster
 module Experiment = Pico_harness.Experiment
+module Breakdown = Pico_harness.Breakdown
 module Serve = Pico_serve.Serve
 module Arrivals = Pico_serve.Arrivals
 
@@ -260,11 +264,11 @@ let run_world ?(sharding = false) ?(ordered_arrivals = false) kind ~n_nodes =
     Serve.plans ~split:(fun () -> Rng.split cl.Cluster.rng) ~clients:1
   in
   let res = Experiment.run cl ~ranks_per_node:1 (Serve.run ~plans ~out) in
-  (res, out)
+  (cl, res, out)
 
 let test_end_to_end () =
   Costs.with_patched arm (fun () ->
-      let _res, out = run_world Cluster.Mckernel_hfi ~n_nodes:4 in
+      let _, _, out = run_world Cluster.Mckernel_hfi ~n_nodes:4 in
       let cs =
         match out.(0) with
         | Some (Serve.Client cs) -> cs
@@ -297,15 +301,26 @@ let test_end_to_end () =
         "tripped arrivals dropped" true
         (cs.Serve.c_tripped > 0))
 
-(* --- shard-on/off identity ------------------------------------------------- *)
+(* --- shard-on/off and ledger identity -------------------------------------- *)
 
-(* Full result fingerprint: every counter and every latency sample, bit
-   for bit ([%Lx] of the float), plus the experiment FOM.  Anything the
-   serve figure reports derives from these. *)
-let fingerprint (res : Experiment.result) out =
+(* Full result fingerprint, bit for bit ([%Lx] of each float): the
+   world's FOM, wall and init times, fabric packets and bytes and fault
+   counters, then every service counter and every latency sample.
+   Anything the serve figure reports derives from these. *)
+let fingerprint (cl : Cluster.t) (res : Experiment.result) out =
   let b = Buffer.create 512 in
+  let fs = Fabric.fault_stats cl.Cluster.fabric in
   Buffer.add_string b
-    (Printf.sprintf "F%Lx" (Int64.bits_of_float res.Experiment.fom_ns));
+    (Printf.sprintf "F%Lx;%Lx;%Lx;%d;%d;%d:%Lx:%d:%d:%d:%d:%d"
+       (Int64.bits_of_float res.Experiment.fom_ns)
+       (Int64.bits_of_float res.Experiment.wall_ns)
+       (Int64.bits_of_float res.Experiment.init_ns)
+       (Fabric.packets_delivered cl.Cluster.fabric)
+       (Fabric.bytes_delivered cl.Cluster.fabric)
+       fs.Fabric.fs_parks
+       (Int64.bits_of_float fs.Fabric.fs_park_ns)
+       fs.Fabric.fs_replays fs.Fabric.fs_reroutes fs.Fabric.fs_egress_parks
+       fs.Fabric.fs_retries fs.Fabric.fs_degraded);
   Array.iter
     (fun slot ->
       match slot with
@@ -329,23 +344,41 @@ let fingerprint (res : Experiment.result) out =
 
 (* Flat worlds only: fat-trees never shard.  Shard-on/off identity only
    holds between runs sharing the ordered same-instant arrival tie-break
-   (sharded builds force it). *)
-let probe ~shard kind =
-  Costs.with_patched arm
-  @@ fun () ->
-  let res, out =
+   (sharded builds force it).  Returns the result fingerprint, the
+   number of ledgers the run recorded and their content digest. *)
+let probe ~ledgers ~shard kind =
+  Costs.with_patched arm @@ fun () ->
+  ignore (Breakdown.take_fingerprint ());
+  Ledger.set_on ledgers;
+  Fun.protect ~finally:(fun () -> Ledger.set_on false) @@ fun () ->
+  let cl, res, out =
     run_world ~sharding:shard ~ordered_arrivals:true kind ~n_nodes:4
   in
-  fingerprint res out
+  let recorded = Breakdown.size () in
+  (fingerprint cl res out, recorded, Breakdown.take_fingerprint ())
 
+(* The only home of the serve layer's mode-identity laws, per OS kind on
+   the armed 4-node flat world (admission, breaker and deadline live):
+   sharding changes no result; arming the serve ledgers changes no
+   result, sharded or not; and a sharded run records the same ledger
+   content as the unsharded one. *)
 let test_shard_identity () =
   List.iter
     (fun kind ->
-      let off = probe ~shard:false kind in
-      let on = probe ~shard:true kind in
-      Alcotest.(check string)
-        (Printf.sprintf "%s shard on = off" (Cluster.kind_to_string kind))
-        off on)
+      let name law =
+        Printf.sprintf "%s %s" (Cluster.kind_to_string kind) law
+      in
+      let off, _, _ = probe ~ledgers:false ~shard:false kind in
+      let on, _, _ = probe ~ledgers:false ~shard:true kind in
+      let armed, n_armed, lg_off = probe ~ledgers:true ~shard:false kind in
+      let armed_on, _, lg_on = probe ~ledgers:true ~shard:true kind in
+      Alcotest.(check string) (name "shard on = off") off on;
+      Alcotest.(check bool) (name "armed runs record ledgers") true
+        (n_armed > 0);
+      Alcotest.(check string) (name "ledgers off = armed") off armed;
+      Alcotest.(check string) (name "ledgers off = armed, sharded") off
+        armed_on;
+      Alcotest.(check string) (name "ledger shard on = off") lg_off lg_on)
     [ Cluster.Linux; Cluster.Mckernel; Cluster.Mckernel_hfi ]
 
 let () =
